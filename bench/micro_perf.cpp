@@ -651,17 +651,16 @@ BENCHMARK(BM_SoapCallRoundTrip);
 
 // Real-TCP publish fan-out: one 64 KiB frame per iteration through a
 // FanoutHub to N loopback subscribers, `slow` of which drain at only one
-// frame per 20 ms (a wireless client that cannot keep up). The TCP engine
-// is latched from RAVE_NET at process start, so BENCH_transport.json runs
-// this benchmark twice — default (epoll reactor, bounded write queues,
-// drop-newest shed) and RAVE_NET=legacy (blocking send per subscriber) —
-// and compares per-publish latency. Arg 0 = subscribers, arg 1 = slow.
+// frame per 20 ms (a wireless client that cannot keep up). Every channel
+// runs on the epoll reactor with bounded write queues and drop-newest
+// shed; BENCH_transport.json records per-publish latency.
+// Arg 0 = subscribers, arg 1 = slow.
 void BM_Transport(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
   const int slow = static_cast<int>(state.range(1));
-  // Latch bounded-queue shedding before the first channel exists (no-op
-  // for the legacy engine, which has no queue). Soft setenv: an explicit
-  // RAVE_NET_QUEUE/RAVE_NET_SHED in the environment wins.
+  // Latch bounded-queue shedding before the first channel exists. Soft
+  // setenv: an explicit RAVE_NET_QUEUE/RAVE_NET_SHED in the environment
+  // wins.
   ::setenv("RAVE_NET_QUEUE", "64", 0);
   ::setenv("RAVE_NET_SHED", "drop-newest", 0);
 
@@ -733,7 +732,6 @@ void BM_Transport(benchmark::State& state) {
   state.counters["shed_frac"] = static_cast<double>(sheds) /
                                 (static_cast<double>(state.iterations()) * subscribers);
   state.counters["frames_read"] = static_cast<double>(frames_read.load());
-  state.SetLabel(net::transport_mode() == net::TransportMode::Legacy ? "legacy" : "reactor");
 }
 BENCHMARK(BM_Transport)
     ->Args({16, 0})

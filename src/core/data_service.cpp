@@ -148,9 +148,10 @@ uint64_t DataService::committed_updates(const std::string& name) const {
   return session == nullptr ? 0 : session->sequence;
 }
 
-void DataService::accept(net::ChannelPtr channel) { pending_.push_back(std::move(channel)); }
+void DataService::accept(net::ChannelPtr channel) { accepted_.push(std::move(channel)); }
 
 size_t DataService::pump() {
+  for (net::ChannelPtr& channel : accepted_.take()) pending_.push_back(std::move(channel));
   size_t handled = pump_pending();
   for (auto& [name, session] : sessions_) handled += pump_session(session);
   return handled;

@@ -14,6 +14,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/failure_detector.hpp"
 #include "net/channel.hpp"
@@ -41,6 +43,27 @@ class Fabric {
   // virtual time. With max_attempts <= 1 this is a plain dial.
   util::Result<net::ChannelPtr> dial_retry(const std::string& access_point,
                                            const RetryPolicy& policy, util::Clock& clock);
+};
+
+// Where a service's AcceptFn parks new channels. A fabric may run AcceptFn
+// on a foreign thread (TcpFabric: the reactor loop) while the service's
+// pump() walks its channel lists, so the callback only push()es and pump()
+// take()s the batch onto its own lists first.
+class AcceptInbox {
+ public:
+  void push(net::ChannelPtr channel) {
+    std::lock_guard lock(mu_);
+    channels_.push_back(std::move(channel));
+  }
+
+  [[nodiscard]] std::vector<net::ChannelPtr> take() {
+    std::lock_guard lock(mu_);
+    return std::exchange(channels_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<net::ChannelPtr> channels_;
 };
 
 class InProcFabric final : public Fabric {
@@ -82,9 +105,8 @@ class InProcFabric final : public Fabric {
 };
 
 // Real sockets on loopback; access points are "tcp:127.0.0.1:<port>".
-// On the reactor engine (the default) accepts arrive on the shared event
-// loop — no per-listener thread; the legacy engine keeps a blocking
-// accept thread per listener.
+// Accepts arrive on the shared reactor's event-loop thread, so AcceptFns
+// must hand channels off (an AcceptInbox) rather than touch pump state.
 class TcpFabric final : public Fabric {
  public:
   TcpFabric();  // out of line: Listener is incomplete here

@@ -264,6 +264,10 @@ class RenderService {
   Fabric* fabric_;
   Options options_;
   std::map<std::string, Replica> replicas_;
+  // Fabric accepts land in the inboxes (possibly on the reactor thread)
+  // and move onto clients_/peer_channels_ at the top of pump().
+  AcceptInbox client_inbox_;
+  AcceptInbox peer_inbox_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<net::ChannelPtr> peer_channels_;
   std::deque<DelayedSend> delayed_;

@@ -5,16 +5,12 @@ namespace rave::net {
 namespace {
 std::atomic<uint64_t> g_copies{0};
 std::atomic<uint64_t> g_copied_bytes{0};
-}  // namespace
 
-Buffer Buffer::copy(const uint8_t* data, size_t n) {
-  Buffer b;
-  if (n > 0) {
-    note_copy(n);
-    b.bytes_ = std::make_shared<const std::vector<uint8_t>>(data, data + n);
-  }
-  return b;
+void note_copy(size_t bytes) {
+  g_copies.fetch_add(1, std::memory_order_relaxed);
+  g_copied_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
+}  // namespace
 
 void Buffer::append_to(std::vector<uint8_t>& out) const {
   if (empty()) return;
@@ -24,10 +20,5 @@ void Buffer::append_to(std::vector<uint8_t>& out) const {
 
 uint64_t Buffer::copy_count() { return g_copies.load(std::memory_order_relaxed); }
 uint64_t Buffer::copied_bytes() { return g_copied_bytes.load(std::memory_order_relaxed); }
-
-void Buffer::note_copy(size_t bytes) {
-  g_copies.fetch_add(1, std::memory_order_relaxed);
-  g_copied_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
 
 }  // namespace rave::net

@@ -1,7 +1,7 @@
 // Zero-copy payload buffers. An encoded tile must travel from the codec
 // through FanoutHub to the socket without being memcpy'd per subscriber:
-// Buffer is an immutable, reference-counted byte block, and PayloadView is
-// a borrowed window into one. Copying a Buffer bumps a refcount; the only
+// Buffer is an immutable, reference-counted byte block. Copying a Buffer
+// bumps a refcount; the only
 // way to duplicate the bytes is an explicit materialization, and every
 // materialization increments a process-wide counter so tests can assert
 // that a publish → writev path stayed copy-free (ISSUE 7 acceptance).
@@ -27,15 +27,12 @@ class Buffer {
     return b;
   }
 
-  // Duplicate `n` bytes into a fresh buffer — counted as a copy.
-  static Buffer copy(const uint8_t* data, size_t n);
-
   [[nodiscard]] const uint8_t* data() const { return bytes_ ? bytes_->data() : nullptr; }
   [[nodiscard]] size_t size() const { return bytes_ ? bytes_->size() : 0; }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   // Append this buffer's bytes to `out` — counted as a copy (the escape
-  // hatch for receive-side materialization and legacy staging paths).
+  // hatch for receive-side materialization).
   void append_to(std::vector<uint8_t>& out) const;
 
   [[nodiscard]] bool operator==(const Buffer& other) const {
@@ -49,24 +46,9 @@ class Buffer {
   // the delta is zero.
   static uint64_t copy_count();
   static uint64_t copied_bytes();
-  static void note_copy(size_t bytes);  // staging copies outside Buffer itself
 
  private:
   std::shared_ptr<const std::vector<uint8_t>> bytes_;
-};
-
-// A borrowed window into a Buffer (or any stable bytes). `owner` keeps the
-// backing storage alive while the view is queued for a scatter-gather
-// write.
-struct PayloadView {
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-  Buffer owner;  // empty when the bytes live elsewhere (caller-managed)
-
-  PayloadView() = default;
-  PayloadView(const uint8_t* d, size_t n) : data(d), size(n) {}
-  explicit PayloadView(Buffer buffer)
-      : data(buffer.data()), size(buffer.size()), owner(std::move(buffer)) {}
 };
 
 }  // namespace rave::net

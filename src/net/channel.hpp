@@ -2,8 +2,9 @@
 // subscription, then "backs off from SOAP and uses direct socket
 // communication to send binary information" (paper §4.3). Channel is that
 // socket abstraction: typed, framed binary messages over an in-process
-// queue pair, a real TCP connection (tcp.hpp, reactor.hpp), or a
-// bandwidth/latency simulated link (simlink.hpp) — all interchangeable.
+// queue pair, a real TCP connection (tcp.hpp over the reactor.hpp event
+// loop, framed per wire.hpp), or a bandwidth/latency simulated link
+// (simlink.hpp) — all interchangeable.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "net/buffer.hpp"
+#include "net/wire.hpp"
 #include "util/clock.hpp"
 #include "util/result.hpp"
 
@@ -24,24 +26,21 @@ struct Message {
   // already-encoded block (a serialized tile) put the small protocol
   // prefix in `payload` and the block in `tail`, so copying the Message —
   // which FanoutHub does once per subscriber — bumps a refcount instead
-  // of duplicating the block, and the transports write both pieces with
-  // one scatter-gather syscall. Receive paths always deliver messages
+  // of duplicating the block, and the TCP transport writes both pieces
+  // with one scatter-gather syscall. Receive paths always deliver messages
   // materialized (tail folded into `payload`), so downstream decoders see
   // one contiguous byte run exactly as before.
   std::vector<uint8_t> payload;
   Buffer tail;
 
-  // Trace context riding with the message (obs tracing). Zero = untraced;
-  // untraced messages are byte-identical on the wire to the pre-tracing
-  // format. TCP flags traced frames with the high bit of the type field
-  // and appends 16 header bytes; in-process channels pass these through.
+  // Trace context riding with the message (obs tracing). Zero = untraced,
+  // which costs no wire bytes (wire.hpp); in-process channels pass these
+  // through.
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
 
   // Hybrid-logical-clock stamp (obs::Hlc) for the cross-host timeline.
-  // Zero = unstamped, byte-identical on the wire to the pre-HLC format;
-  // stamped frames set the 0x4000 type bit and carry 12 extra header
-  // bytes (wall micros u64 + logical u32, LE) after any trace context.
+  // Zero = unstamped, which costs no wire bytes (wire.hpp).
   uint64_t hlc_wall = 0;
   uint32_t hlc_logical = 0;
 
@@ -55,16 +54,15 @@ struct Message {
 
   [[nodiscard]] uint64_t payload_size() const { return payload.size() + tail.size(); }
 
-  // Frame: 4-byte length + 2-byte type [+ 16-byte trace context]
-  // [+ 12-byte HLC stamp] + payload.
+  // Bytes this message occupies as a TCP frame: header + payload.
   [[nodiscard]] uint64_t wire_size() const {
-    return 6 + (traced() ? 16 : 0) + (hlc_stamped() ? 12 : 0) + payload_size();
+    return wire::header_size(traced(), hlc_stamped()) + payload_size();
   }
 
   // Fold the shared tail into the contiguous payload vector (a counted
   // copy). In-process transports call this at delivery so receivers can
-  // keep reading `payload` directly; the socket transports never need it —
-  // they writev() the two pieces in place.
+  // keep reading `payload` directly; the TCP transport never needs it —
+  // it sends the two pieces in place.
   void materialize() {
     if (tail.empty()) return;
     payload.reserve(payload.size() + tail.size());

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -30,39 +31,6 @@ using util::Result;
 using util::Status;
 
 namespace {
-
-constexpr uint16_t kTracedFlag = 0x8000;
-// 0x4000 marks an HLC-stamped frame: wall micros (u64 LE) + logical
-// (u32 LE) ride after any trace context. Same format as the legacy
-// engine; frames with neither flag stay byte-identical to the original.
-constexpr uint16_t kHlcFlag = 0x4000;
-// A frame length beyond this is protocol corruption, not data: drop the
-// connection rather than try to allocate it.
-constexpr uint32_t kMaxFrameBytes = 1u << 30;
-
-void put_u32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-void put_u16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v & 0xFF);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-void put_u64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint16_t get_u16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-uint64_t get_u64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 // Process-wide backpressure instruments. Depth/bytes gauges track frames
 // sitting in write queues right now; the shed counter is the SLO engine's
@@ -99,7 +67,7 @@ obs::Counter& accepts_counter() {
 // are moved/refcounted out of the Message — no payload bytes are copied
 // between the sender's encode and the syscall.
 struct WriteItem {
-  uint8_t header[34];
+  uint8_t header[wire::kMaxHeaderBytes];
   size_t header_len = 0;
   std::vector<uint8_t> body;
   Buffer tail;
@@ -116,22 +84,7 @@ WriteItem make_item(Message&& m) {
   WriteItem item;
   item.trace_id = m.trace_id;
   item.span_id = m.span_id;
-  put_u32(item.header, static_cast<uint32_t>(m.payload_size()));
-  uint16_t wire_type = m.type;
-  item.header_len = 6;
-  if (m.traced()) {
-    wire_type |= kTracedFlag;
-    put_u64(item.header + 6, m.trace_id);
-    put_u64(item.header + 14, m.span_id);
-    item.header_len = 22;
-  }
-  if (m.hlc_stamped()) {
-    wire_type |= kHlcFlag;
-    put_u64(item.header + item.header_len, m.hlc_wall);
-    put_u32(item.header + item.header_len + 8, m.hlc_logical);
-    item.header_len += 12;
-  }
-  put_u16(item.header + 4, wire_type);
+  item.header_len = wire::encode_header(m, item.header);
   item.body = std::move(m.payload);
   item.tail = std::move(m.tail);
   item.wire_bytes = item.header_len + item.body.size() + item.tail.size();
@@ -188,10 +141,13 @@ struct ReactorImpl : std::enable_shared_from_this<ReactorImpl> {
   std::map<int, std::shared_ptr<Conn>> conns;
   std::map<uint64_t, ListenerState> listeners;
   std::map<int, uint64_t> listener_by_fd;
-  std::vector<int> graveyard;  // retired conn fds awaiting ::close on the loop thread
+  std::vector<int> graveyard;  // retired conn/listener fds awaiting ::close on the loop thread
   uint64_t next_listener_id = 1;
 
-  ~ReactorImpl() { stop(); }
+  ~ReactorImpl() {
+    stop();
+    drain_graveyard();  // listeners closed after the loop stopped
+  }
 
   void start() {
     epfd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -352,28 +308,18 @@ struct ReactorImpl : std::enable_shared_from_this<ReactorImpl> {
     size_t& off = conn->rdoff;
     std::vector<Message> out;
     for (;;) {
-      if (buf.size() - off < 6) break;
       const uint8_t* p = buf.data() + off;
-      const uint32_t len = get_u32(p);
-      if (len > kMaxFrameBytes) return false;
-      const uint16_t wire_type = get_u16(p + 4);
-      const bool traced = (wire_type & kTracedFlag) != 0;
-      const bool stamped = (wire_type & kHlcFlag) != 0;
-      const size_t header_len = 6 + (traced ? 16 : 0) + (stamped ? 12 : 0);
-      if (buf.size() - off < header_len + len) break;
-      Message msg;
-      msg.type = static_cast<uint16_t>(wire_type & ~(kTracedFlag | kHlcFlag));
-      if (traced) {
-        msg.trace_id = get_u64(p + 6);
-        msg.span_id = get_u64(p + 14);
-      }
-      if (stamped) {
-        const uint8_t* h = p + (traced ? 22 : 6);
-        msg.hlc_wall = get_u64(h);
-        msg.hlc_logical = get_u32(h + 8);
-      }
-      msg.payload.assign(p + header_len, p + header_len + len);
-      off += header_len + len;
+      const size_t avail = buf.size() - off;
+      wire::Header h;
+      const wire::Parse parsed = wire::parse_header(p, avail, h);
+      if (parsed == wire::Parse::Malformed) return false;
+      if (parsed == wire::Parse::Incomplete || avail < h.size + h.payload_bytes) break;
+      Message msg(h.type, std::vector<uint8_t>(p + h.size, p + h.size + h.payload_bytes));
+      msg.trace_id = h.trace_id;
+      msg.span_id = h.span_id;
+      msg.hlc_wall = h.hlc_wall;
+      msg.hlc_logical = h.hlc_logical;
+      off += h.size + h.payload_bytes;
       out.push_back(std::move(msg));
     }
     if (off == buf.size()) {
@@ -746,29 +692,25 @@ Result<std::unique_ptr<ReactorListener>> Reactor::listen(uint16_t port, AcceptFn
   return std::unique_ptr<ReactorListener>(new ReactorListener(impl_, id, actual_port));
 }
 
-size_t Reactor::open_channels() const {
-  std::lock_guard lock(impl_->mu);
-  return impl_->conns.size();
-}
-
 ReactorListener::~ReactorListener() { close(); }
 
 void ReactorListener::close() {
   if (!impl_) return;
-  int fd = -1;
   {
     std::lock_guard lock(impl_->mu);
     auto it = impl_->listeners.find(id_);
     if (it != impl_->listeners.end()) {
-      fd = it->second.fd;
+      const int fd = it->second.fd;
       impl_->listener_by_fd.erase(fd);
       impl_->listeners.erase(it);
+      // Stop listening now (later connects are refused), but let the loop
+      // thread close the fd: an accept4 loop still running on it must not
+      // reach a listener that recycled the descriptor number.
+      ::shutdown(fd, SHUT_RDWR);
+      impl_->graveyard.push_back(fd);
     }
   }
-  if (fd >= 0) {
-    ::epoll_ctl(impl_->epfd, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-  }
+  impl_->wake();
   impl_.reset();
 }
 

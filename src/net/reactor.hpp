@@ -1,19 +1,16 @@
-// Async reactor transport — the event-loop engine behind the TCP fabric.
+// Async reactor transport — the event loop behind every TCP channel.
 //
-// The original transport was blocking thread-per-connection: one accept
-// thread per listener and a syscall-blocking send()/recv() per channel,
-// which caps subscriber count and lets one stalled client wedge a
-// publisher mid-fanout. The Reactor replaces that with a single epoll
-// event-loop thread driving every non-blocking socket: reads are parsed
-// into per-channel receive queues, writes drain bounded per-channel write
-// queues via scatter-gather sendmsg (header + payload prefix + shared
-// tail in one syscall, zero payload copies), and a slow client trips its
-// queue's shed policy instead of stalling the sender.
+// One epoll event-loop thread drives every non-blocking socket: reads are
+// parsed (wire.hpp) into per-channel receive queues, writes drain bounded
+// per-channel write queues via scatter-gather sendmsg (header + payload
+// prefix + shared tail in one syscall, zero payload copies), and a slow
+// client trips its queue's shed policy instead of stalling the sender.
+// There is no thread per connection or per listener, and one stalled
+// subscriber cannot wedge a publisher mid-fanout.
 //
 // The synchronous Channel interface stays: a reactor channel's send()
 // enqueues (and opportunistically flushes inline), receive_result() waits
-// on the parsed-frame queue. Wire format is byte-identical to the legacy
-// transport, so either engine can sit on each end of a connection.
+// on the parsed-frame queue.
 //
 // Backpressure surfaces three ways: per-channel ChannelStats
 // (messages_shed), process-wide metrics the SLO engine watches
@@ -73,8 +70,6 @@ class Reactor {
   util::Result<std::unique_ptr<ReactorListener>> listen(
       uint16_t port, AcceptFn on_accept,
       ReactorChannelOptions options = default_channel_options());
-
-  [[nodiscard]] size_t open_channels() const;
 
  private:
   std::shared_ptr<ReactorImpl> impl_;

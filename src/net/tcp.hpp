@@ -1,27 +1,19 @@
-// Real TCP transport (loopback or LAN). Frames are length-prefixed binary —
-// the "direct socket communication" the paper drops to for bulk data after
-// SOAP-based subscription (§4.3). Byte order on the wire is fixed
-// little-endian regardless of host endianness.
-//
-// Two interchangeable engines sit behind this interface, selected by
-// RAVE_NET: the epoll reactor (default, reactor.hpp) drives every
-// connection from a shared event loop with bounded write queues and
-// scatter-gather sends; "legacy" keeps the original blocking
-// syscall-per-channel path until it is retired. The wire format is
-// byte-identical either way.
+// Real TCP transport (loopback or LAN) — the "direct socket communication"
+// the paper drops to for bulk data after SOAP-based subscription (§4.3).
+// Every connection runs on the process-wide reactor (reactor.hpp) and is
+// framed per wire.hpp. These are the blocking conveniences over it: dial
+// an address, or bind a listener and accept connections one at a time.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "net/channel.hpp"
 
 namespace rave::net {
 
-// Which TCP engine new connections use. Read once from RAVE_NET
-// ("reactor" or "legacy"); unset or unrecognized means reactor.
-enum class TransportMode : uint8_t { Reactor, Legacy };
-TransportMode transport_mode();
+class ReactorListener;
 
 // Connect to a listening RAVE endpoint.
 util::Result<ChannelPtr> tcp_connect(const std::string& host, uint16_t port);
@@ -37,15 +29,17 @@ class TcpListener {
 
   [[nodiscard]] uint16_t port() const { return port_; }
 
-  // Accept one connection; nullopt on timeout. The returned channel runs
-  // on the engine transport_mode() selects.
+  // Take the next connection the reactor accepted; nullopt on timeout.
   std::optional<ChannelPtr> accept(double timeout_seconds);
 
+  // Stop listening; connections accepted but not yet taken are closed.
   void close();
 
  private:
-  TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
-  int fd_ = -1;
+  struct Queue;
+  TcpListener(std::shared_ptr<Queue> queue, std::unique_ptr<ReactorListener> listener);
+  std::shared_ptr<Queue> queue_;
+  std::unique_ptr<ReactorListener> listener_;
   uint16_t port_ = 0;
 };
 

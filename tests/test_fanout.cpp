@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <thread>
 
@@ -16,7 +14,6 @@
 #include "core/grid.hpp"
 #include "mesh/primitives.hpp"
 #include "net/fanout.hpp"
-#include "net/reactor.hpp"
 #include "net/simlink.hpp"
 #include "net/tcp.hpp"
 #include "obs/trace.hpp"
@@ -526,26 +523,14 @@ std::string format_hops(const std::set<std::string>& hops) {
   return out;
 }
 
-// One accepted TCP connection through the process reactor: {server end
-// (accepted, event-loop driven), client end (dialed)}. The listener is
-// torn down once the connection lands.
+// One loopback TCP connection: {server end (accepted), client end
+// (dialed)}, null on failure. The listener is torn down once it lands.
 std::pair<net::ChannelPtr, net::ChannelPtr> tcp_pair() {
-  std::mutex mu;
-  std::condition_variable cv;
-  net::ChannelPtr server;
-  auto listener = net::Reactor::global().listen(0, [&](net::ChannelPtr accepted) {
-    std::lock_guard<std::mutex> lock(mu);
-    server = std::move(accepted);
-    cv.notify_all();
-  });
-  EXPECT_TRUE(listener.ok()) << listener.error();
+  auto listener = net::TcpListener::bind(0);
+  if (!listener.ok()) return {};
   auto dialed = net::tcp_connect("127.0.0.1", listener.value()->port());
-  EXPECT_TRUE(dialed.ok()) << dialed.error();
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return server != nullptr; }));
-  }
-  return {server, std::move(dialed).take()};
+  if (!dialed.ok()) return {};
+  return {listener.value()->accept(5.0).value_or(nullptr), std::move(dialed).take()};
 }
 
 // The satellite regression: relays used to re-publish upstream messages
@@ -563,14 +548,15 @@ TEST(FanoutRelay, TraceContextSurvivesTwoRelayHopsOverTcp) {
   FrameStreamPublisher publisher(options);
 
   auto [pub_down, relay1_up] = tcp_pair();
+  auto [relay1_down, relay2_up] = tcp_pair();
+  auto [relay2_down, sub_end] = tcp_pair();
+  ASSERT_TRUE(pub_down && relay1_up && relay1_down && relay2_up && relay2_down && sub_end);
   publisher.subscribe(pub_down, QualityClass::Workstation);
   net::FanoutRelay relay1(relay1_up);
   relay1.set_host("edge-1");
-  auto [relay1_down, relay2_up] = tcp_pair();
   relay1.hub().subscribe(relay1_down);
   net::FanoutRelay relay2(relay2_up);
   relay2.set_host("edge-2");
-  auto [relay2_down, sub_end] = tcp_pair();
   relay2.hub().subscribe(relay2_down);
   FrameStreamReceiver receiver(sub_end, QualityClass::Workstation, options);
 

@@ -84,6 +84,13 @@ struct TargetCase {
   double tolerance;
 };
 
+// Without this gtest names each case by the raw bytes of the struct, which
+// include the `name` pointer and so change from one process to the next.
+// The model name is already the case suffix.
+void PrintTo(const TargetCase& tc, std::ostream* os) {
+  *os << tc.target << " tris, tol " << tc.tolerance;
+}
+
 class GeneratorTargetTest : public testing::TestWithParam<TargetCase> {};
 
 TEST_P(GeneratorTargetTest, HitsTriangleBudget) {

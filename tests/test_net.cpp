@@ -8,6 +8,7 @@
 #include "net/fanout.hpp"
 #include "net/simlink.hpp"
 #include "net/tcp.hpp"
+#include "net/wire.hpp"
 #include "util/clock.hpp"
 
 namespace rave::net {
@@ -102,6 +103,76 @@ TEST(Message, WireSizeAccountsForOptionalHeaders) {
   EXPECT_EQ(both.wire_size(), 6u + 16u + 12u + 3u);
 }
 
+// Socket-free codec tests: the one wire format, encoded and parsed
+// directly (the raw-byte spec tests live in test_reactor).
+struct FlagCase {
+  bool traced;
+  bool stamped;
+};
+constexpr FlagCase kFlagCases[] = {{false, false}, {true, false}, {false, true}, {true, true}};
+
+// The highest real message type (flag bits are the two above it), with
+// optional trace and HLC metadata per `c`.
+Message codec_message(FlagCase c) {
+  Message m(0x3FFF, {1, 2, 3}, Buffer::take({4, 5}));
+  if (c.traced) {
+    m.trace_id = 0x1112131415161718ull;
+    m.span_id = 0x2122232425262728ull;
+  }
+  if (c.stamped) {
+    m.hlc_wall = 0x0102030405060708ull;
+    m.hlc_logical = 0x0A0B0C0Du;
+  }
+  return m;
+}
+
+TEST(WireCodec, RoundTripsEveryFlagCombination) {
+  for (const FlagCase c : kFlagCases) {
+    SCOPED_TRACE(testing::Message() << "traced=" << c.traced << " stamped=" << c.stamped);
+    const Message m = codec_message(c);
+    uint8_t buf[wire::kMaxHeaderBytes];
+    const size_t n = wire::encode_header(m, buf);
+    EXPECT_EQ(n, wire::header_size(c.traced, c.stamped));
+    EXPECT_EQ(n + m.payload_size(), m.wire_size());
+
+    wire::Header h;
+    ASSERT_EQ(wire::parse_header(buf, n, h), wire::Parse::Ok);
+    EXPECT_EQ(h.type, 0x3FFF);  // flag bits never leak into the type
+    EXPECT_EQ(h.size, n);
+    EXPECT_EQ(h.payload_bytes, 5u);
+    EXPECT_EQ(h.trace_id, m.trace_id);
+    EXPECT_EQ(h.span_id, m.span_id);
+    EXPECT_EQ(h.hlc_wall, m.hlc_wall);
+    EXPECT_EQ(h.hlc_logical, m.hlc_logical);
+  }
+}
+
+TEST(WireCodec, TruncatedHeaderIsIncompleteAtEveryCut) {
+  for (const FlagCase c : kFlagCases) {
+    uint8_t buf[wire::kMaxHeaderBytes];
+    const size_t n = wire::encode_header(codec_message(c), buf);
+    for (size_t cut = 0; cut < n; ++cut) {
+      wire::Header h;
+      EXPECT_EQ(wire::parse_header(buf, cut, h), wire::Parse::Incomplete)
+          << "traced=" << c.traced << " stamped=" << c.stamped << " cut=" << cut;
+    }
+  }
+}
+
+TEST(WireCodec, LengthAboveMaxFrameIsMalformed) {
+  uint8_t buf[wire::kMaxHeaderBytes];
+  const size_t n = wire::encode_header(Message(0x0101, {}), buf);
+  wire::Header h;
+  const auto set_length = [&](uint32_t len) {
+    for (int i = 0; i < 4; ++i) buf[i] = static_cast<uint8_t>(len >> (8 * i));
+  };
+  set_length(wire::kMaxFrameBytes);
+  ASSERT_EQ(wire::parse_header(buf, n, h), wire::Parse::Ok);
+  EXPECT_EQ(h.payload_bytes, wire::kMaxFrameBytes);
+  set_length(wire::kMaxFrameBytes + 1);
+  EXPECT_EQ(wire::parse_header(buf, n, h), wire::Parse::Malformed);
+}
+
 TEST(Tcp, HlcStampRoundTripsAndUnstampedStaysClean) {
   auto listener = TcpListener::bind(0);
   ASSERT_TRUE(listener.ok()) << listener.error();
@@ -146,6 +217,19 @@ TEST(Tcp, ConnectToClosedPortFails) {
   const uint16_t port = listener.value()->port();
   listener.value()->close();
   EXPECT_FALSE(tcp_connect("127.0.0.1", port).ok());
+}
+
+// Listeners closed and re-bound back to back recycle descriptor numbers;
+// an accept still running on the reactor for a closed listener must never
+// take a connection meant for its successor.
+TEST(Tcp, ListenerChurnNeverMisroutesAConnection) {
+  for (int i = 0; i < 200; ++i) {
+    auto listener = TcpListener::bind(0);
+    ASSERT_TRUE(listener.ok()) << listener.error();
+    auto client = tcp_connect("127.0.0.1", listener.value()->port());
+    ASSERT_TRUE(client.ok()) << client.error();
+    ASSERT_TRUE(listener.value()->accept(5.0).has_value()) << "connection lost at round " << i;
+  }
 }
 
 TEST(LinkProfile, TransmitArithmetic) {

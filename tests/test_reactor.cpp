@@ -1,7 +1,8 @@
-// Reactor transport tests: endpoint parsing, zero-copy buffers, the epoll
-// engine's rich receive errors, and — the point of the bounded write
-// queues — a slow or never-reading peer shedding per policy instead of
-// stalling the publisher thread.
+// Reactor transport tests: endpoint parsing, zero-copy buffers, the raw
+// wire bytes of every header flag combination, rich receive errors,
+// services taking accepts from the reactor thread, and — the point of the
+// bounded write queues — a slow or never-reading peer shedding per policy
+// instead of stalling the publisher thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +15,9 @@
 #include <numeric>
 #include <thread>
 
+#include "core/data_service.hpp"
+#include "core/protocol.hpp"
+#include "core/render_service.hpp"
 #include "net/buffer.hpp"
 #include "net/channel.hpp"
 #include "net/endpoint.hpp"
@@ -21,6 +25,7 @@
 #include "net/reactor.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
+#include "util/clock.hpp"
 
 namespace rave::net {
 namespace {
@@ -163,28 +168,22 @@ ChannelPtr reactor_connect(uint16_t port, const ReactorChannelOptions& opts) {
   return Reactor::global().adopt(fd, opts);
 }
 
+// {server end (accepted), client end (dialed)} of one loopback connection.
+// Null ends on failure; callers assert.
+std::pair<ChannelPtr, ChannelPtr> tcp_pair() {
+  auto listener = TcpListener::bind(0);
+  if (!listener.ok()) return {};
+  auto dialed = tcp_connect("127.0.0.1", listener.value()->port());
+  if (!dialed.ok()) return {};
+  return {listener.value()->accept(5.0).value_or(nullptr), std::move(dialed).take()};
+}
+
 // --------------------------------------------------------------- reactor ----
 
 TEST(Reactor, EchoAndTraceRoundTripOverEventLoop) {
-  std::mutex mu;
-  std::condition_variable cv;
-  ChannelPtr server;
-  auto listener = Reactor::global().listen(0, [&](ChannelPtr accepted) {
-    std::lock_guard lock(mu);
-    server = std::move(accepted);
-    cv.notify_all();
-  });
-  ASSERT_TRUE(listener.ok()) << listener.error();
-
-  // tcp_connect honors RAVE_NET, so under the legacy lane this exercises a
-  // legacy client against a reactor server — the wire format must agree.
-  auto dialed = tcp_connect("127.0.0.1", listener.value()->port());
-  ChannelPtr client = dialed.ok() ? std::move(dialed).take() : nullptr;
+  auto [server, client] = tcp_pair();
+  ASSERT_NE(server, nullptr);
   ASSERT_NE(client, nullptr);
-  {
-    std::unique_lock lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return server != nullptr; }));
-  }
 
   Message out(0x0133, {1, 2, 3}, Buffer::take({4, 5}));
   out.trace_id = 0xDEADBEEF;
@@ -208,20 +207,11 @@ TEST(Reactor, EchoAndTraceRoundTripOverEventLoop) {
 }
 
 TEST(Reactor, ReceiveErrorsDistinguishTimeoutFromPeerClose) {
-  std::mutex mu;
-  std::condition_variable cv;
-  ChannelPtr server;
-  auto listener = Reactor::global().listen(0, [&](ChannelPtr accepted) {
-    std::lock_guard lock(mu);
-    server = std::move(accepted);
-    cv.notify_all();
-  });
+  auto listener = TcpListener::bind(0);
   ASSERT_TRUE(listener.ok()) << listener.error();
   ChannelPtr client = reactor_connect(listener.value()->port(), {});
-  {
-    std::unique_lock lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return server != nullptr; }));
-  }
+  auto server = listener.value()->accept(5.0).value_or(nullptr);
+  ASSERT_NE(server, nullptr);
 
   auto nothing = client->receive_result(0.02);
   ASSERT_FALSE(nothing.ok());
@@ -235,14 +225,14 @@ TEST(Reactor, ReceiveErrorsDistinguishTimeoutFromPeerClose) {
   client->close();
 }
 
-TEST(Reactor, WireBytesIdenticalToLegacyFraming) {
+TEST(Reactor, UntracedWireBytesMatchSpec) {
   RawPeer peer;
   peer.start();
   ChannelPtr client = reactor_connect(peer.port, {});
   peer.accept_one();
 
   // Untraced frame with a tail: 4-byte LE length (payload+tail), 2-byte
-  // LE type, then the bytes — indistinguishable from the legacy engine.
+  // LE type, then the bytes — the original 6-byte-header format.
   ASSERT_TRUE(client->send(Message(0x0142, {10, 11}, Buffer::take({12, 13, 14}))).ok());
   const std::vector<uint8_t> expected = {5, 0, 0, 0, 0x42, 0x01, 10, 11, 12, 13, 14};
   EXPECT_EQ(peer.read_exactly(expected.size()), expected);
@@ -270,26 +260,58 @@ TEST(Reactor, HlcStampedWireBytesMatchSpec) {
   client->close();
 }
 
+TEST(Reactor, TracedWireBytesMatchSpec) {
+  RawPeer peer;
+  peer.start();
+  ChannelPtr client = reactor_connect(peer.port, {});
+  peer.accept_one();
+
+  // Traced frame: the type carries the 0x8000 flag, then trace_id and
+  // span_id (u64 LE each) before the payload.
+  Message msg(0x0142, {10, 11});
+  msg.trace_id = 0x1112131415161718ull;
+  msg.span_id = 0x2122232425262728ull;
+  ASSERT_TRUE(client->send(std::move(msg)).ok());
+  const std::vector<uint8_t> expected = {
+      2,    0,    0,    0,                                // length
+      0x42, 0x81,                                         // type | 0x8000
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,     // trace LE
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,     // span LE
+      10,   11};
+  EXPECT_EQ(peer.read_exactly(expected.size()), expected);
+  client->close();
+}
+
+TEST(Reactor, TracedHlcWireBytesMatchSpec) {
+  RawPeer peer;
+  peer.start();
+  ChannelPtr client = reactor_connect(peer.port, {});
+  peer.accept_one();
+
+  // Both blocks: type | 0x8000 | 0x4000, the trace block first, then the
+  // HLC stamp, then the payload (prefix and tail alike).
+  Message msg(0x0142, {10}, Buffer::take({11}));
+  msg.trace_id = 0x1112131415161718ull;
+  msg.span_id = 0x2122232425262728ull;
+  msg.hlc_wall = 0x0102030405060708ull;
+  msg.hlc_logical = 0x0A0B0C0Du;
+  ASSERT_TRUE(client->send(std::move(msg)).ok());
+  const std::vector<uint8_t> expected = {
+      2,    0,    0,    0,                                // length
+      0x42, 0xC1,                                         // type | 0x8000 | 0x4000
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,     // trace LE
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,     // span LE
+      8,    7,    6,    5,    4,    3,    2,    1,        // wall LE
+      0x0D, 0x0C, 0x0B, 0x0A,                             // logical LE
+      10,   11};
+  EXPECT_EQ(peer.read_exactly(expected.size()), expected);
+  client->close();
+}
+
 TEST(Reactor, TraceAndHlcCoexistOverEventLoop) {
-  std::mutex mu;
-  std::condition_variable cv;
-  ChannelPtr server;
-  auto listener = Reactor::global().listen(0, [&](ChannelPtr accepted) {
-    std::lock_guard lock(mu);
-    server = std::move(accepted);
-    cv.notify_all();
-  });
-  ASSERT_TRUE(listener.ok()) << listener.error();
-  // tcp_connect honors RAVE_NET: under the legacy lane this sends a
-  // trace+HLC header from the legacy engine to a reactor server — both
-  // optional headers must agree across engines, in order (trace, HLC).
-  auto dialed = tcp_connect("127.0.0.1", listener.value()->port());
-  ChannelPtr client = dialed.ok() ? std::move(dialed).take() : nullptr;
+  auto [server, client] = tcp_pair();
+  ASSERT_NE(server, nullptr);
   ASSERT_NE(client, nullptr);
-  {
-    std::unique_lock lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return server != nullptr; }));
-  }
 
   Message out(0x0133, {1, 2, 3}, Buffer::take({4, 5}));
   out.trace_id = 0xDEADBEEF;
@@ -494,6 +516,62 @@ TEST(Reactor, FanoutHubSharesOneTailAcrossSubscribers) {
   EXPECT_EQ(peer_b.read_exactly(6 + 1 + tail.size()).size(), 6 + 1 + tail.size());
   sub_a->close();
   sub_b->close();
+}
+
+// -------------------------------------------------------- service accepts --
+
+// TcpFabric runs accept callbacks on the reactor thread while the services
+// walk their channel lists in pump() on this one. Under -DRAVE_SANITIZE=
+// thread this is the race check; in every build, each connection dialed
+// mid-pump must still be taken up and served.
+TEST(ReactorAccept, ServicesPumpWhileAnotherThreadDials) {
+  util::RealClock clock;
+  core::TcpFabric fabric;
+  core::DataService data(clock);
+  core::RenderService render(clock, fabric);
+  auto data_ap = fabric.listen("data", [&data](ChannelPtr ch) { data.accept(std::move(ch)); });
+  auto clients_ap = render.listen_clients("render/clients");
+  auto peer_ap = render.listen_peer("render/peer");
+  ASSERT_TRUE(data_ap.ok() && clients_ap.ok() && peer_ap.ok());
+
+  // Subscribers to an unknown session (answered with a refusal by both
+  // services) and render peers (their message is counted, not answered).
+  constexpr size_t kDials = 8;
+  std::vector<ChannelPtr> subscribers;
+  std::vector<ChannelPtr> peers;
+  std::atomic<bool> dialing{true};
+  std::thread dialer([&] {
+    core::SubscribeRequest request;
+    request.session = "no-such-session";
+    for (size_t i = 0; i < kDials; ++i) {
+      for (const std::string& ap : {data_ap.value(), clients_ap.value()}) {
+        auto ch = fabric.dial(ap);
+        if (!ch.ok() || !ch.value()->send(core::encode(request)).ok()) continue;
+        subscribers.push_back(std::move(ch).take());
+      }
+      auto ch = fabric.dial(peer_ap.value());
+      if (!ch.ok() || !ch.value()->send(Message(core::kMsgTileAssign, {})).ok()) continue;
+      peers.push_back(std::move(ch).take());
+    }
+    dialing = false;
+  });
+  size_t handled = 0;
+  while (dialing.load()) handled += data.pump() + render.pump();
+  dialer.join();
+  ASSERT_EQ(subscribers.size(), 2 * kDials);
+  ASSERT_EQ(peers.size(), kDials);
+
+  size_t refused = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((handled < 3 * kDials || refused < subscribers.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    handled += data.pump() + render.pump();
+    for (const ChannelPtr& ch : subscribers)
+      if (auto msg = ch->try_receive()) refused += msg->type == core::kMsgRefusal ? 1 : 0;
+  }
+  EXPECT_EQ(handled, 3 * kDials);
+  EXPECT_EQ(refused, subscribers.size());
+  for (const char* name : {"data", "render/clients", "render/peer"}) fabric.unlisten(name);
 }
 
 // ---------------------------------------------------------------- fanout ----

@@ -46,6 +46,13 @@ struct Table3Row {
   double xvr_pct;          // paper: Elle 3, Galleon 16
 };
 
+// Named by value: the default byte dump includes the `dataset` pointer,
+// which changes from one process to the next. The dataset is the suffix.
+void PrintTo(const Table3Row& row, std::ostream* os) {
+  *os << row.triangles << " tris, " << row.geforce_go_pct << "/" << row.geforce_gts_pct << "/"
+      << row.xvr_pct << " pct";
+}
+
 class Table3Test : public testing::TestWithParam<Table3Row> {};
 
 TEST_P(Table3Test, OffscreenPercentInBand) {
