@@ -637,6 +637,40 @@ BENCHMARK(BM_Fanout)
     ->Args({1000, 1, 1})
     ->Unit(benchmark::kMillisecond);
 
+// Idle grid: one data service and N render services joined to one small
+// session, with nothing in flight. Every pump_all still polls each
+// service's channels, so this is the poll substrate's fixed cost per
+// round: Time is wall and CPU is the pumping thread's CPU per pump_all.
+// An empty poll never sleeps (net/channel.hpp), so the two should agree
+// and grow linearly in N. Arg 0 = render services.
+void BM_IdlePump(benchmark::State& state) {
+  const int services = static_cast<int>(state.range(0));
+  util::SimClock clock;
+  core::RaveGrid grid(clock);
+  core::DataService& data = grid.add_data_service("data");
+  scene::SceneTree tree;
+  tree.add_child(scene::kRootNode, "box", mesh::make_box({1.0f, 1.0f, 1.0f}));
+  if (!data.create_session("idle", std::move(tree)).ok()) {
+    state.SkipWithError("create_session failed");
+    return;
+  }
+  const std::string data_ap = grid.data_access_point("data");
+  for (int i = 0; i < services; ++i) {
+    const std::string host = "render" + std::to_string(i);
+    if (!grid.add_render_service(host).connect_session(data_ap, "idle").ok()) {
+      state.SkipWithError("connect_session failed");
+      return;
+    }
+  }
+  grid.pump_until_idle();  // every bootstrap lands before timing starts
+  size_t handled = 0;
+  for (auto _ : state) handled += grid.pump_all();
+  if (handled != 0) state.SkipWithError("grid was not idle");
+  state.SetItemsProcessed(state.iterations() * services);
+  state.SetLabel("n=" + std::to_string(services));
+}
+BENCHMARK(BM_IdlePump)->Arg(1)->Arg(10)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
 void BM_SoapCallRoundTrip(benchmark::State& state) {
   services::SoapCall call;
   call.service = "render";

@@ -188,7 +188,9 @@ struct TileDataMsg {
 struct FrameEndMsg {
   uint32_t frame_id = 0;
   uint16_t tile_count = 0;
-  uint64_t frame_hash = 0;  // render::hash_image of the source frame
+  // render::hash_image of the source frame (row-wise XXH64, see
+  // render/compositor.hpp); the receiver re-hashes every assembled pixel.
+  uint64_t frame_hash = 0;
 };
 
 struct TileMissMsg {

@@ -35,9 +35,13 @@ class InProcChannel final : public Channel {
   util::Result<Message> receive_result(double timeout_seconds) override {
     std::unique_lock lock(in_->mu);
     const auto ready = [&] { return !in_->queue.empty() || in_->closed; };
-    if (!in_->cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds), ready))
-      return util::make_error("channel: receive timed out after " +
-                              std::to_string(timeout_seconds) + "s");
+    // A poll (timeout <= 0) only checks: wait_for(0) would still sleep out
+    // the timer slack on every empty channel.
+    const bool arrived =
+        timeout_seconds <= 0
+            ? ready()
+            : in_->cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds), ready);
+    if (!arrived) return util::make_error("channel: receive timed out");
     if (in_->queue.empty())  // closed and drained
       return util::make_error("channel: closed by peer");
     Message msg = std::move(in_->queue.front());

@@ -102,6 +102,12 @@ class Channel {
   // "the peer is gone" — which callers need to pick between retrying and
   // re-dispatching (paper §3.2.7 recovery). Implementations own this so
   // the distinction is made where it is actually known, at the transport.
+  //
+  // Poll contract: `timeout_seconds <= 0` never sleeps. It returns a
+  // queued message, or fails at once with a fixed error containing
+  // "timed out" — or "closed by peer" once the peer is gone and the queue
+  // is drained. Every service loop polls each of its channels per pump,
+  // so an empty poll must cost a lock and a check, not a timer wait.
   [[nodiscard]] virtual util::Result<Message> receive_result(double timeout_seconds) = 0;
 
   // Convenience wrappers over receive_result for callers that only care
@@ -113,7 +119,7 @@ class Channel {
     return std::nullopt;
   }
 
-  // Non-blocking receive.
+  // Non-blocking receive: receive_result(0), which never sleeps.
   std::optional<Message> try_receive() { return receive(0.0); }
 
   virtual void close() = 0;

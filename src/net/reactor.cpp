@@ -554,9 +554,12 @@ class ReactorChannel final : public Channel {
     std::unique_lock lock(conn_->mu);
     Conn& c = *conn_;
     const auto ready = [&] { return !c.recv_q.empty() || c.peer_closed || c.user_closed; };
-    if (!c.recv_cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds), ready))
-      return make_error("reactor: receive timed out after " + std::to_string(timeout_seconds) +
-                        "s");
+    // A poll (timeout <= 0) only checks; see Channel::receive_result.
+    const bool arrived =
+        timeout_seconds <= 0
+            ? ready()
+            : c.recv_cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds), ready);
+    if (!arrived) return make_error("reactor: receive timed out");
     if (c.recv_q.empty()) {
       if (c.user_closed) return make_error("reactor: channel closed");
       return make_error(c.peer_error.empty() ? "reactor: closed by peer" : c.peer_error);

@@ -65,10 +65,7 @@ class SimChannel final : public Channel {
 
   util::Result<Message> receive_result(double timeout_seconds) override {
     const double deadline = clock_->now() + timeout_seconds;
-    const auto timeout_error = [&] {
-      return util::make_error("simlink: receive timed out after " +
-                              std::to_string(timeout_seconds) + "s");
-    };
+    const auto timeout_error = [] { return util::make_error("simlink: receive timed out"); };
     for (;;) {
       {
         std::lock_guard lock(in_->mu);

@@ -48,11 +48,14 @@ struct BlendLayer {
 // Blend layers over `dst` back-to-front (largest view_distance first).
 util::Status blend_ordered(Image& dst, std::vector<BlendLayer> layers);
 
-// Content addressing for the frame fan-out tier: a stable FNV-1a 64 hash
-// over a tile's pixel bytes (dimensions folded in first, so equal byte
-// runs in different shapes address different content). A pure byte walk —
-// identical across SIMD levels, thread counts and hosts, which is what
-// lets an unchanged tile ship as a 16-byte reference instead of pixels.
+// Content addressing for the frame fan-out tier: a stable 64-bit hash of a
+// tile's pixels. Width and height are folded in first (FNV-1a), so equal
+// byte runs in different shapes address different content; then each row
+// is hashed with XXH64, seeded with the running value. Rows are read as
+// little-endian 8-byte words in plain scalar code, so the value depends on
+// the pixels alone — not on the tile's position, the SIMD level, the
+// thread count or the host — which is what lets an unchanged tile ship as
+// a 16-byte reference instead of pixels.
 uint64_t hash_tile(const Image& image, const Tile& tile);
 std::vector<uint64_t> hash_tiles(const Image& image, const std::vector<Tile>& tiles);
 // Whole-image hash (FrameEnd integrity check in the cached-frame stream).

@@ -1,8 +1,9 @@
-// Content hashing for the fan-out frame cache. FNV-1a 64 is used for
-// every content address in the repo: it is a pure byte walk, so the hash
-// of a tile or an encoded image is identical across SIMD levels, thread
-// counts and hosts by construction — the property the content-addressed
-// tile cache's determinism argument rests on (DESIGN.md).
+// FNV-1a 64 for content hashes of small or one-off byte runs (an encoded
+// image's content_hash, digests): a pure byte walk, so the hash is
+// identical across SIMD levels, thread counts and hosts by construction —
+// the property the content-addressed tile cache's determinism argument
+// rests on (DESIGN.md). Pixel tiles, hashed on every frame, use the
+// word-at-a-time render::hash_tile instead.
 #pragma once
 
 #include <cstddef>

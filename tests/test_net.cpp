@@ -2,6 +2,8 @@
 // fan-out distribution.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "net/channel.hpp"
@@ -287,6 +289,69 @@ TEST(SimulatedLink, TimeoutRespected) {
   ASSERT_TRUE(a->send({1, std::vector<uint8_t>(100'000)}).ok());
   EXPECT_FALSE(b->receive(0.5).has_value());  // arrival far beyond timeout
   EXPECT_LE(clock.now(), 0.6);
+}
+
+// The poll contract (channel.hpp) on one transport: empty polls never
+// wait, a queued message is returned by a poll, a positive timeout still
+// blocks, and a closed, drained channel says "closed by peer".
+void expect_poll_contract(const ChannelPtr& sender, const ChannelPtr& receiver) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kPolls = 2000;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kPolls; ++i) ASSERT_FALSE(receiver->try_receive().has_value());
+  EXPECT_LT(Clock::now() - t0, std::chrono::milliseconds(20)) << kPolls << " empty polls";
+  const auto empty = receiver->receive_result(0.0);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.error().find("timed out"), std::string::npos) << empty.error();
+
+  // TCP delivery is asynchronous, so poll until the message lands.
+  ASSERT_TRUE(sender->send({0x0105, {4, 2}}).ok());
+  std::optional<Message> polled;
+  for (int i = 0; i < 5000 && !polled; ++i) {
+    polled = receiver->try_receive();
+    if (!polled) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(polled.has_value());
+  EXPECT_EQ(polled->type, 0x0105);
+  EXPECT_EQ(polled->payload, (std::vector<uint8_t>{4, 2}));
+
+  const auto t1 = Clock::now();
+  const auto waited = receiver->receive_result(0.02);
+  const std::chrono::duration<double> elapsed = Clock::now() - t1;
+  ASSERT_FALSE(waited.ok());
+  EXPECT_NE(waited.error().find("timed out"), std::string::npos) << waited.error();
+  EXPECT_GE(elapsed.count(), 0.02);
+
+  sender->close();
+  (void)receiver->receive_result(5.0);  // returns once the close has landed
+  const auto closed = receiver->receive_result(0.0);
+  ASSERT_FALSE(closed.ok());
+  EXPECT_NE(closed.error().find("closed by peer"), std::string::npos) << closed.error();
+}
+
+TEST(Channel, EmptyPollNeverWaits) {
+  {
+    SCOPED_TRACE("in-process");
+    auto [a, b] = make_channel_pair();
+    expect_poll_contract(a, b);
+  }
+  {
+    SCOPED_TRACE("reactor");
+    auto listener = TcpListener::bind(0);
+    ASSERT_TRUE(listener.ok()) << listener.error();
+    auto client = tcp_connect("127.0.0.1", listener.value()->port());
+    ASSERT_TRUE(client.ok()) << client.error();
+    auto server = listener.value()->accept(5.0);
+    ASSERT_TRUE(server.has_value());
+    expect_poll_contract(*server, client.value());
+    client.value()->close();
+  }
+  {
+    SCOPED_TRACE("simlink");
+    util::RealClock clock;
+    auto [a, b] = make_simulated_pair(clock, ethernet_100mbit());
+    expect_poll_contract(a, b);
+  }
 }
 
 TEST(Fanout, PublishReachesAllSubscribers) {

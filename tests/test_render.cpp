@@ -9,6 +9,7 @@
 #include "render/rasterizer.hpp"
 #include "render/raycast.hpp"
 #include "scene/camera.hpp"
+#include "util/simd.hpp"
 
 namespace rave::render {
 namespace {
@@ -245,6 +246,68 @@ TEST(Compositor, OrderedBlendBackToFront) {
   // Far (red) first, then half-transparent green over it.
   EXPECT_EQ(base.rgb[0], 100);
   EXPECT_EQ(base.rgb[1], 100);
+}
+
+// Deterministic pseudo-random pixels (LCG high bytes).
+Image pattern_image(int width, int height, uint32_t seed) {
+  Image image(width, height);
+  for (uint8_t& byte : image.rgb) {
+    seed = seed * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(seed >> 24);
+  }
+  return image;
+}
+
+// The tile hash travels on the wire (tile refs, FrameEnd), so its values
+// are pinned: a change here is a protocol change. Every SIMD level, the
+// forced-scalar one included, must produce them.
+TEST(TileHash, GoldenValuesAtEverySimdLevel) {
+  const Image wide = pattern_image(200, 150, 1);
+  const Image small = pattern_image(7, 5, 2);
+  const util::SimdLevel before = util::active_simd_level();
+  for (const util::SimdLevel level : {util::SimdLevel::Scalar, util::SimdLevel::Sse2,
+                                      util::SimdLevel::Avx2, util::SimdLevel::Neon}) {
+    util::set_simd_level(level);
+    SCOPED_TRACE(static_cast<int>(util::active_simd_level()));
+    EXPECT_EQ(hash_image(wide), 0xc620090d45323fe8ull);
+    EXPECT_EQ(hash_tile(wide, Tile{64, 64, 64, 64}), 0xd23485135d1d8fb6ull);
+    EXPECT_EQ(hash_image(small), 0xdf2a5d7b63f5e0c4ull);
+    EXPECT_EQ(hash_tile(small, Tile{1, 2, 5, 3}), 0x3619800ebe9e7fdeull);
+  }
+  util::set_simd_level(before);
+}
+
+TEST(TileHash, DependsOnContentNotPosition) {
+  Image image = pattern_image(128, 96, 3);
+  const Tile source{5, 7, 37, 29};
+  const Tile target{70, 60, 37, 29};
+  image.insert(target, image.extract(source));
+  EXPECT_EQ(hash_tile(image, source), hash_tile(image, target));
+  EXPECT_EQ(hash_tile(image, source), hash_image(image.extract(source)));
+  EXPECT_NE(hash_tile(image, source), hash_tile(image, Tile{6, 7, 37, 29}));
+}
+
+TEST(TileHash, ShapeIsPartOfTheContent) {
+  const Image tall = pattern_image(4, 6, 4);
+  Image wide(6, 4);
+  wide.rgb = tall.rgb;  // the same bytes, rows cut differently
+  EXPECT_NE(hash_image(tall), hash_image(wide));
+}
+
+// Every byte reaches the hash: row widths 1..13 px give rows of 3..39
+// bytes, so rows shorter than one word, between one word and one 32-byte
+// stripe, and past a stripe are all covered, with every tail length 0..7.
+TEST(TileHash, EverySingleByteFlipChangesTheHash) {
+  for (int width = 1; width <= 13; ++width) {
+    Image image = pattern_image(width, 3, 5 + static_cast<uint32_t>(width));
+    const uint64_t base = hash_image(image);
+    for (size_t i = 0; i < image.rgb.size(); ++i) {
+      image.rgb[i] ^= 0x01;
+      EXPECT_NE(hash_image(image), base) << "width " << width << " byte " << i;
+      image.rgb[i] ^= 0x01;
+    }
+    EXPECT_EQ(hash_image(image), base);
+  }
 }
 
 TEST(Raycast, VolumeVisibleAndOccludedByGeometry) {

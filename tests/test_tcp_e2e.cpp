@@ -1,9 +1,12 @@
 // End-to-end over real TCP sockets: data service, render service and thin
-// client in threads on loopback — the §4.3 socket data plane without any
-// simulation. Kept small so CI stays fast.
+// client on loopback — the §4.3 socket data plane without any simulation.
+// The test thread pumps both services itself (as a deployment's service
+// loop does), so the only other thread is the epoll reactor. Kept small
+// so CI stays fast.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -16,6 +19,17 @@
 
 namespace rave::core {
 namespace {
+
+size_t pump(DataService& data, RenderService& render) { return data.pump() + render.pump(); }
+
+// Pump both services from the calling thread until `done` holds or 10 s
+// pass; sleeps briefly only when a round handled nothing.
+bool pump_until(DataService& data, RenderService& render, const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    if (pump(data, render) == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  return done();
+}
 
 TEST(TcpEndToEnd, BootstrapFrameAndEdit) {
   util::RealClock clock;
@@ -34,28 +48,14 @@ TEST(TcpEndToEnd, BootstrapFrameAndEdit) {
   ASSERT_TRUE(client_ap.ok());
   ASSERT_EQ(client_ap.value().rfind("tcp:", 0), 0u);
 
-  std::atomic<bool> running{true};
-  std::thread data_thread([&] {
-    while (running.load()) {
-      if (data.pump() == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  std::thread render_thread([&] {
-    while (running.load()) {
-      if (render.pump() == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
   ASSERT_TRUE(render.connect_session(data_ap.value(), "demo").ok());
-  for (int i = 0; i < 4000 && !render.bootstrapped("demo"); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_TRUE(render.bootstrapped("demo"));
+  ASSERT_TRUE(pump_until(data, render, [&] { return render.bootstrapped("demo"); }));
 
   ThinClient client(clock, fabric);
   ASSERT_TRUE(client.connect(client_ap.value(), "demo").ok());
   scene::Camera cam;
   cam.eye = {0, 0, 3};
-  auto frame = client.request_frame(cam, 64, 64, 5.0);
+  auto frame = client.request_frame(cam, 64, 64, 5.0, [&] { pump(data, render); });
   ASSERT_TRUE(frame.ok()) << frame.error();
   EXPECT_EQ(frame.value().width, 64);
   EXPECT_LT(frame.value().pixel(32, 32)[2], 250);  // something rendered
@@ -64,18 +64,13 @@ TEST(TcpEndToEnd, BootstrapFrameAndEdit) {
   ASSERT_TRUE(
       client.send_update(scene::SceneUpdate::set_transform(ball, util::Mat4::rotate_y(0.4f)))
           .ok());
-  for (int i = 0; i < 4000 && data.committed_updates("demo") == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(pump_until(data, render, [&] { return data.committed_updates("demo") != 0; }));
   EXPECT_EQ(data.committed_updates("demo"), 1u);
-
-  running = false;
-  data_thread.join();
-  render_thread.join();
 }
 
 // The trace context crosses a real socket: the client's root span and the
-// render service's serving spans — recorded on different threads — land
-// in one trace, stitched into a single frame timeline.
+// render service's serving spans land in one trace, stitched into a single
+// frame timeline.
 TEST(TcpEndToEnd, TracePropagatesAcrossSockets) {
   obs::Tracer::global().reset();
   obs::Tracer::global().set_enabled(true);
@@ -94,28 +89,15 @@ TEST(TcpEndToEnd, TracePropagatesAcrossSockets) {
   auto client_ap = render.listen_clients("clients");
   ASSERT_TRUE(client_ap.ok());
 
-  std::atomic<bool> running{true};
-  std::thread service_thread([&] {
-    while (running.load()) {
-      if (data.pump() + render.pump() == 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
   ASSERT_TRUE(render.connect_session(data_ap.value(), "demo").ok());
-  for (int i = 0; i < 4000 && !render.bootstrapped("demo"); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_TRUE(render.bootstrapped("demo"));
+  ASSERT_TRUE(pump_until(data, render, [&] { return render.bootstrapped("demo"); }));
 
   ThinClient client(clock, fabric);
   ASSERT_TRUE(client.connect(client_ap.value(), "demo").ok());
   scene::Camera cam;
   cam.eye = {0, 0, 3};
-  auto frame = client.request_frame(cam, 64, 64, 5.0);
+  auto frame = client.request_frame(cam, 64, 64, 5.0, [&] { pump(data, render); });
   ASSERT_TRUE(frame.ok()) << frame.error();
-
-  running = false;
-  service_thread.join();
   obs::Tracer::global().set_enabled(false);
 
   const auto spans = obs::Tracer::global().spans();
