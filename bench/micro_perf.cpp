@@ -487,11 +487,10 @@ void BM_ObsOverhead(benchmark::State& state) {
     obs::Profiler::global().reset();
   } else if (mode == 2) {
     util::SimClock clock;
-    obs::Collector::Options options;
-    options.interval = 1.0;
-    obs::Collector collector(clock, options);
-    collector.add_target({"bench", []() -> util::Result<std::string> {
-                            return obs::MetricsRegistry::global().scrape();
+    obs::Collector collector(clock);
+    collector.add_target({"bench", []() -> util::Result<obs::HostSnapshot> {
+                            return obs::HostSnapshot{obs::MetricsRegistry::global().scrape(),
+                                                     obs::FlightRecorder::global().export_events()};
                           }});
     for (auto _ : state) {
       render::RenderStats stats;

@@ -47,10 +47,11 @@ void cmd_ldap(core::RaveGrid& grid) {
 }
 
 // Pull the merged causally-ordered grid timeline: enable the health
-// plane (timeline collector pulling each host's flight recorder over
-// SOAP), run the demo session across both render hosts for a few virtual
-// seconds so the balancer has real load reports to decide (and record)
-// with, then poll every ring and print the merge.
+// plane (the central collector pulls each host's metrics and flight
+// recorder over SOAP in one visit), run the demo session across both
+// render hosts for a few virtual seconds so the balancer has real load
+// reports to decide (and record) with, then poll every host and print
+// the merge.
 void cmd_timeline(util::SimClock& clock, core::RaveGrid& grid, core::DataService& data) {
   obs::set_clock(&clock);               // virtual-time stamps: reproducible output
   obs::Hlc::global().set_enabled(true);  // stamp events for the causal merge
@@ -66,7 +67,7 @@ void cmd_timeline(util::SimClock& clock, core::RaveGrid& grid, core::DataService
     (void)grid.render_service("tower")->render_console("Skull", cam, 64, 64);
     grid.pump_until_idle();
   }
-  (void)grid.timeline()->poll_now();
+  (void)grid.collector()->poll_now();
   std::printf("%s", grid.timeline_text().c_str());
 }
 

@@ -1,10 +1,12 @@
 // rave-top — the live telemetry dashboard for a RAVE grid. Stands up a
 // heterogeneous deployment under virtual time (data host + render hosts
 // with different 2004 machine profiles), enables the telemetry plane (1 Hz
-// central collector + SLO engine), drives thin-client frame loops, and
-// renders the rave-top view each virtual second: per-host frame-time and
-// fps sparklines, SLO burn states, collection health, the last migration
-// plan's explain, and (with --trace) the frame-phase breakdown.
+// central collector + SLO engine) and the health plane (canaries; the
+// same collector's visits also pull every flight ring for the timeline),
+// drives thin-client frame loops, and renders the rave-top view each
+// virtual second: per-host frame-time and fps sparklines, SLO burn
+// states, collection health, the last migration plan's explain, and
+// (with --trace) the frame-phase breakdown.
 //
 // Flags:
 //   --watch        redraw in place with ANSI clear instead of scrolling
@@ -195,14 +197,13 @@ int main(int argc, char** argv) {
   grid.advertise_all();
 
   // Telemetry plane: 1 Hz central collection + the default render SLOs.
-  obs::Collector::Options collect;
-  collect.interval = 1.0;
-  grid.enable_telemetry(collect, obs::default_render_slos(/*target_fps=*/10.0));
+  // Each visit pulls a host's metrics and its flight recorder together.
+  grid.enable_telemetry(obs::default_render_slos(/*target_fps=*/10.0));
 
   // Health plane: blackbox canaries subscribing to the real frame stream
-  // (one probe per quality class per render host) plus the cross-host
-  // timeline collector pulling every flight recorder at 1 Hz. HLC
-  // stamping on, so the merged timeline orders causally, not by wall.
+  // (one probe per quality class per render host); the merged timeline
+  // comes from the same collector's flight pulls. HLC stamping on, so the
+  // merged timeline orders causally, not by wall.
   obs::Hlc::global().set_enabled(true);
   obs::Canary::Options canary_options;
   canary_options.frame_timeout = 0.3;  // virtual seconds; keep misses cheap

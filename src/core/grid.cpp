@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "obs/timeline.hpp"
 #include "util/log.hpp"
 
 namespace rave::core {
@@ -10,6 +11,11 @@ namespace rave::core {
 using util::make_error;
 using util::Result;
 using util::Status;
+
+namespace {
+// Reachability gate of each collector visit: one retry after 50 ms.
+constexpr RetryPolicy kScrapeRetry{.max_attempts = 2, .initial_backoff = 0.05};
+}  // namespace
 
 RaveGrid::RaveGrid(util::Clock& clock, net::LinkProfile default_link)
     : clock_(&clock), fabric_(clock, std::move(default_link)) {
@@ -51,8 +57,7 @@ RaveGrid::Host& RaveGrid::host_slot(const std::string& name) {
   });
   host.soap_access_point = access.ok() ? access.value() : "";
   Host& slot = hosts_.emplace(name, std::move(host)).first->second;
-  if (collector_) add_scrape_target(slot);  // hosts added after enable_telemetry
-  if (timeline_) add_timeline_target(slot);  // hosts added after enable_health_plane
+  if (collector_) add_scrape_target(slot);  // hosts added after either plane
   return slot;
 }
 
@@ -207,7 +212,6 @@ size_t RaveGrid::pump_all() {
   // them would keep pump_until_idle from ever seeing the grid quiesce.
   if (collector_ && collector_->tick() > 0 && slo_)
     slo_->evaluate(collector_->store(), clock_->now());
-  if (timeline_) timeline_->tick();
   return handled;
 }
 
@@ -243,71 +247,59 @@ std::vector<HostStatus> RaveGrid::collect_status() {
 
 std::string RaveGrid::status_dashboard() { return format_dashboard(collect_status()); }
 
-void RaveGrid::enable_telemetry(obs::Collector::Options options,
-                                std::vector<obs::SloSpec> slos) {
-  if (collector_) return;  // idempotent: one telemetry plane per grid
-  collector_ = std::make_unique<obs::Collector>(*clock_, options);
+void RaveGrid::ensure_collector() {
+  if (collector_) return;
+  collector_ = std::make_unique<obs::Collector>(*clock_);
+  for (auto& [name, host] : hosts_) add_scrape_target(host);
+}
+
+void RaveGrid::enable_telemetry(std::vector<obs::SloSpec> slos) {
+  if (slo_) return;  // idempotent: one telemetry plane per grid
+  ensure_collector();
   slo_ = std::make_unique<obs::SloEngine>();
   for (obs::SloSpec& spec : slos) slo_->add(std::move(spec));
   for (auto& [name, host] : hosts_) {
-    add_scrape_target(host);
     if (host.data) wire_trend_advisor(*host.data);
   }
 }
 
 void RaveGrid::add_scrape_target(Host& host) {
   const std::string name = host.name;
-  collector_->add_target({name, [this, name]() -> util::Result<std::string> {
+  collector_->add_target({name, [this, name]() -> util::Result<obs::HostSnapshot> {
     auto it = hosts_.find(name);
     if (it == hosts_.end()) return make_error("scrape: unknown host " + name);
     // Reachability gate: the dial goes through the fabric (and any
     // injected faults or dropped listeners), with the same bounded retry
     // schedule the rest of the grid uses — so a killed host fails here
-    // and records a gap. The exposition itself is then dispatched
-    // directly on the container, single-threaded and deterministic.
-    auto probe = fabric_.dial_retry(it->second.soap_access_point, scrape_retry_, *clock_);
+    // and records a gap. Both texts are then dispatched directly on the
+    // container, single-threaded and deterministic.
+    auto probe = fabric_.dial_retry(it->second.soap_access_point, kScrapeRetry, *clock_);
     if (!probe.ok()) return make_error(probe.error());
     probe.value()->close();
-    services::SoapCall call;
-    call.service = "status";
-    call.method = "metrics";
-    call.call_id = 1;
-    const services::SoapResponse response = it->second.container->dispatch(call);
-    if (response.is_fault) return make_error(response.fault_message);
-    return response.result.as_string();
+    const auto fetch = [&](const char* method) -> util::Result<std::string> {
+      services::SoapCall call;
+      call.service = "status";
+      call.method = method;
+      call.call_id = 1;
+      const services::SoapResponse response = it->second.container->dispatch(call);
+      if (response.is_fault) return make_error(response.fault_message);
+      return response.result.as_string();
+    };
+    auto metrics = fetch("metrics");
+    if (!metrics.ok()) return make_error(metrics.error());
+    auto flight = fetch("flight");
+    if (!flight.ok()) return make_error(flight.error());
+    return obs::HostSnapshot{std::move(metrics).take(), std::move(flight).take()};
   }});
 }
 
-void RaveGrid::enable_health_plane(obs::Canary::Options canary_options,
-                                   obs::TimelineCollector::Options timeline_options) {
+void RaveGrid::enable_health_plane(obs::Canary::Options canary_options) {
   if (canary_) return;  // idempotent: one health plane per grid
+  ensure_collector();
   canary_ = std::make_unique<obs::Canary>(*clock_, fabric_, canary_options);
-  timeline_ = std::make_unique<obs::TimelineCollector>(*clock_, timeline_options);
   for (auto& [name, host] : hosts_) {
-    add_timeline_target(host);
     if (host.data) wire_health_advisor(*host.data);
   }
-}
-
-void RaveGrid::add_timeline_target(Host& host) {
-  const std::string name = host.name;
-  timeline_->add_target({name, [this, name]() -> util::Result<std::string> {
-    auto it = hosts_.find(name);
-    if (it == hosts_.end()) return make_error("timeline: unknown host " + name);
-    // Same reachability gate as the metrics scrape: the dial goes through
-    // the fabric (and any injected faults), so a killed host records a
-    // timeline *gap* — the merged view keeps its last pulled events.
-    auto probe = fabric_.dial_retry(it->second.soap_access_point, scrape_retry_, *clock_);
-    if (!probe.ok()) return make_error(probe.error());
-    probe.value()->close();
-    services::SoapCall call;
-    call.service = "status";
-    call.method = "flight";
-    call.call_id = 1;
-    const services::SoapResponse response = it->second.container->dispatch(call);
-    if (response.is_fault) return make_error(response.fault_message);
-    return response.result.as_string();
-  }});
 }
 
 void RaveGrid::watch_streams(const std::string& session) {
@@ -321,8 +313,8 @@ void RaveGrid::watch_streams(const std::string& session) {
 }
 
 std::string RaveGrid::timeline_text() {
-  if (!timeline_) return "";
-  return obs::format_timeline(timeline_->merged());
+  if (!collector_) return "";
+  return obs::format_timeline(collector_->merged());
 }
 
 void RaveGrid::wire_health_advisor(DataService& data) {

@@ -19,7 +19,6 @@
 #include "obs/canary.hpp"
 #include "obs/collector.hpp"
 #include "obs/slo.hpp"
-#include "obs/timeline.hpp"
 #include "services/container.hpp"
 #include "services/registry.hpp"
 
@@ -85,44 +84,40 @@ class RaveGrid {
   [[nodiscard]] std::string status_dashboard();
 
   // --- telemetry plane ---------------------------------------------------------
-  // Stand up the central collector + SLO engine next to the data services.
-  // Every current and future host becomes a scrape target: the collector
-  // periodically pulls its status "metrics" SOAP exposition over the
-  // fabric (reachability gated by dial_retry, so a killed host records a
-  // telemetry *gap*, never a service failure), tags the series by host,
-  // and the SLO engine evaluates the objectives after each poll round.
-  // Every data service additionally gets a trend advisor feeding SLO
-  // burn / step-change anomaly flags into plan_migration.
-  void enable_telemetry(obs::Collector::Options options = {},
-                        std::vector<obs::SloSpec> slos = obs::default_render_slos());
+  // Stand up the central collector (shared with the health plane) plus
+  // the SLO engine next to the data services. Every current and future
+  // host becomes a scrape target: once per second the collector visits
+  // it over the fabric (reachability gated by dial_retry, so a killed
+  // host records a collection *gap*, never a service failure) and pulls
+  // its status "metrics" exposition and "flight" export in that one
+  // visit; it tags the series by host, and the SLO engine evaluates the
+  // objectives after each poll round. Every data service additionally
+  // gets a trend advisor feeding SLO burn / step-change anomaly flags
+  // into plan_migration. Idempotent.
+  void enable_telemetry(std::vector<obs::SloSpec> slos = obs::default_render_slos());
   [[nodiscard]] obs::Collector* collector() { return collector_.get(); }
   [[nodiscard]] obs::SloEngine* slo_engine() { return slo_.get(); }
-  // Retry policy for the scrape transport; set before enable_telemetry.
-  void set_scrape_retry(RetryPolicy policy) { scrape_retry_ = policy; }
 
   // The rave-top view: sparklines + SLO states + last-migration explain.
   [[nodiscard]] std::string telemetry_dashboard();
 
   // --- health plane -----------------------------------------------------------
   // Stand up the grid health plane: blackbox canary probes plus the
-  // cross-host timeline collector. Every current and future host becomes
-  // a timeline target (the collector pulls its status "flight" export
-  // over the fabric; a failed pull records a *gap*, never a failure),
-  // every data service gets a health advisor answering from the canary's
-  // verdicts, and each host's status "health" SOAP method starts
+  // central collector (shared with the telemetry plane), whose per-host
+  // visit also pulls the status "flight" export that timeline_text()
+  // merges. Every data service gets a health advisor answering from the
+  // canary's verdicts, and each host's status "health" SOAP method starts
   // reporting its canary verdict. Idempotent.
-  void enable_health_plane(obs::Canary::Options canary_options = {},
-                           obs::TimelineCollector::Options timeline_options = {});
+  void enable_health_plane(obs::Canary::Options canary_options = {});
   [[nodiscard]] obs::Canary* canary() { return canary_.get(); }
-  [[nodiscard]] obs::TimelineCollector* timeline() { return timeline_.get(); }
 
   // Arm one canary probe set per render-service host subscribed to
   // `session` (hosts without a render service are skipped). Requires
   // enable_health_plane.
   void watch_streams(const std::string& session);
 
-  // The merged causally-ordered grid timeline as text ("" until the
-  // health plane is up and a poll round has run).
+  // The merged causally-ordered grid timeline as text ("" until either
+  // plane is up; header only until a poll round has run).
   [[nodiscard]] std::string timeline_text();
 
  private:
@@ -136,8 +131,8 @@ class RaveGrid {
   };
 
   Host& host_slot(const std::string& name);
+  void ensure_collector();
   void add_scrape_target(Host& host);
-  void add_timeline_target(Host& host);
   void wire_trend_advisor(DataService& data);
   void wire_health_advisor(DataService& data);
   [[nodiscard]] HealthReportFn health_report_fn(const std::string& host);
@@ -148,13 +143,12 @@ class RaveGrid {
   services::ServiceContainer registry_container_;
   std::string registry_access_point_;
   std::map<std::string, Host> hosts_;
-  // Telemetry plane (null until enable_telemetry).
+  // Shared by both planes (null until the first is enabled).
   std::unique_ptr<obs::Collector> collector_;
+  // Telemetry plane (null until enable_telemetry).
   std::unique_ptr<obs::SloEngine> slo_;
   // Health plane (null until enable_health_plane).
   std::unique_ptr<obs::Canary> canary_;
-  std::unique_ptr<obs::TimelineCollector> timeline_;
-  RetryPolicy scrape_retry_{/*max_attempts=*/2, /*initial_backoff=*/0.05};
 };
 
 }  // namespace rave::core

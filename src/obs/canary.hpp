@@ -43,7 +43,7 @@ class Canary {
   };
 
   // Two overloads — the brace default for a nested Options with member
-  // initializers trips GCC (same workaround as Collector).
+  // initializers trips GCC.
   Canary(util::Clock& clock, core::Fabric& fabric) : Canary(clock, fabric, Options()) {}
   Canary(util::Clock& clock, core::Fabric& fabric, Options options);
   ~Canary();

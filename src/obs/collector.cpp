@@ -1,12 +1,14 @@
 #include "obs/collector.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 
 namespace rave::obs {
 
-Collector::Collector(util::Clock& clock, Options options)
-    : clock_(&clock), options_(options), store_(options.ring_capacity) {}
+Collector::Collector(util::Clock& clock) : clock_(&clock), store_(kRingCapacity) {}
 
 void Collector::add_target(ScrapeTarget target) {
   for (Target& existing : targets_) {
@@ -31,18 +33,19 @@ void Collector::remove_target(const std::string& host) {
 
 void Collector::scrape_target(Target& target, double now) {
   target.health.last_attempt = now;
-  util::Result<std::string> text = target.spec.scrape
-                                       ? target.spec.scrape()
-                                       : util::make_error("collector: no scrape fn");
-  if (!text.ok()) {
+  util::Result<HostSnapshot> snapshot = target.spec.scrape
+                                            ? target.spec.scrape()
+                                            : util::make_error("collector: no scrape fn");
+  if (!snapshot.ok()) {
     // A gap, not a failure: count it, log it, keep the target subscribed.
+    // The previous successful scrape's flight events stay in the merge.
     ++target.health.gaps;
-    target.health.last_error = text.error();
+    target.health.last_error = snapshot.error();
     MetricsRegistry::global()
         .counter("rave_collector_gaps_total", {{"host", target.spec.host}})
         .inc();
     log_event(util::LogLevel::Warn, "collector", "scrape_gap",
-              target.spec.host + ": " + text.error());
+              target.spec.host + ": " + snapshot.error());
     // The gap itself becomes history, so SLOs and dashboards can see
     // collection trouble as a trend.
     store_.append({target.spec.host, "rave_collector_gaps_total", ""}, now,
@@ -52,7 +55,8 @@ void Collector::scrape_target(Target& target, double now) {
   ++target.health.scrapes;
   target.health.last_success = now;
   target.health.last_error.clear();
-  store_.ingest(target.spec.host, parse_prometheus(text.value()), now);
+  store_.ingest(target.spec.host, parse_prometheus(snapshot.value().metrics), now);
+  target.events = decode_flight_events(snapshot.value().flight);
 }
 
 size_t Collector::tick() {
@@ -63,8 +67,8 @@ size_t Collector::tick() {
     scrape_target(target, now);
     // Schedule from the nominal due time so a late tick doesn't drift the
     // cadence (and virtual-time runs stay aligned to the interval grid).
-    target.next_due += options_.interval;
-    if (target.next_due <= now) target.next_due = now + options_.interval;
+    target.next_due += kInterval;
+    if (target.next_due <= now) target.next_due = now + kInterval;
     ++attempted;
   }
   return attempted;
@@ -74,9 +78,45 @@ size_t Collector::poll_now() {
   const double now = clock_->now();
   for (Target& target : targets_) {
     scrape_target(target, now);
-    target.next_due = now + options_.interval;
+    target.next_due = now + kInterval;
   }
   return targets_.size();
+}
+
+namespace {
+// Full-field ordering key: HLC first (causal), then recorder time (the
+// fallback when stamps are absent), then every remaining field so the
+// sort — and therefore the rendered timeline — is byte-stable no matter
+// what order targets were scraped in.
+auto order_key(const TimelineEvent& e) {
+  return std::make_tuple(e.event.hlc.wall, e.event.hlc.logical, e.event.time,
+                         static_cast<unsigned>(e.event.kind), std::cref(e.event.component),
+                         std::cref(e.event.text), e.event.trace_id, std::cref(e.host));
+}
+// Dedup key: everything but the host. In-process grids share one flight
+// ring, so every host's scrape returns the same events; the merge keeps
+// the first supplying host for each.
+auto dedup_key(const TimelineEvent& e) {
+  return std::make_tuple(e.event.hlc.wall, e.event.hlc.logical, e.event.time,
+                         static_cast<unsigned>(e.event.kind), std::cref(e.event.component),
+                         std::cref(e.event.text), e.event.trace_id);
+}
+}  // namespace
+
+std::vector<TimelineEvent> Collector::merged() const {
+  std::vector<TimelineEvent> out;
+  for (const Target& target : targets_) {
+    for (const FlightEvent& event : target.events) out.push_back({target.spec.host, event});
+  }
+  std::stable_sort(out.begin(), out.end(), [](const TimelineEvent& a, const TimelineEvent& b) {
+    return order_key(a) < order_key(b);
+  });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const TimelineEvent& a, const TimelineEvent& b) {
+                          return dedup_key(a) == dedup_key(b);
+                        }),
+            out.end());
+  return out;
 }
 
 std::vector<Collector::TargetHealth> Collector::health() const {

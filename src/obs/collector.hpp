@@ -1,15 +1,19 @@
-// Central collector — the pull half of the telemetry plane. A grid-level
-// component (hosted next to the data service) periodically scrapes every
-// subscribed host's Prometheus text exposition (the status "metrics" SOAP
-// method), parses it, and appends the samples into a TimeSeriesStore
-// tagged by host. Transport is injected as a per-target ScrapeFn so the
-// same collector runs over the in-process fabric, TCP, or a synthetic
-// generator in tests; retry/backoff lives inside the wiring (the grid uses
-// Fabric::dial_retry with its RetryPolicy).
+// Central collector — the pull half of the telemetry and health planes.
+// A grid-level component (hosted next to the data service) visits every
+// subscribed host once per interval and pulls one snapshot of its status
+// surface: the Prometheus text exposition (status "metrics" SOAP method)
+// and the flight-recorder export (status "flight"). The samples are
+// appended into a TimeSeriesStore tagged by host; the decoded flight
+// events are kept per host and merged into the causally-ordered grid
+// timeline. Transport is injected as a per-target ScrapeFn so the same
+// collector runs over the in-process fabric, TCP, or a synthetic
+// generator in tests; retry/backoff lives inside the wiring (the grid
+// uses Fabric::dial_retry with its RetryPolicy).
 //
-// Failure semantics: a failed scrape is a telemetry *gap*, never a service
-// failure — the target stays subscribed, the gap is counted and logged
-// (rave_collector_gaps_total), and the next tick retries. Dead hosts must
+// Failure semantics: a failed scrape is a collection *gap*, never a
+// service failure — the target stays subscribed, the gap is counted and
+// logged (rave_collector_gaps_total), the host's last pulled flight
+// events stay in the merge, and the next tick retries. Dead hosts must
 // never stall collection of healthy ones, so targets are polled
 // independently in deterministic (insertion) order.
 #pragma once
@@ -19,31 +23,32 @@
 #include <string>
 #include <vector>
 
+#include "obs/timeline.hpp"
 #include "obs/timeseries.hpp"
 #include "util/clock.hpp"
 #include "util/result.hpp"
 
 namespace rave::obs {
 
+// One visit's pull from a host.
+struct HostSnapshot {
+  std::string metrics;  // Prometheus text exposition
+  std::string flight;   // FlightRecorder::export_events() text
+};
+
 struct ScrapeTarget {
   std::string host;
-  // Fetch the host's current Prometheus text exposition. Errors mean a
-  // gap for this tick only.
-  std::function<util::Result<std::string>()> scrape;
+  // Fetch the host's current snapshot. Errors mean a gap for this tick
+  // only.
+  std::function<util::Result<HostSnapshot>()> scrape;
 };
 
 class Collector {
  public:
-  struct Options {
-    double interval = 1.0;      // seconds between polls of each target
-    size_t ring_capacity = 512; // per-series history depth
-  };
+  static constexpr double kInterval = 1.0;      // seconds between polls of each target
+  static constexpr size_t kRingCapacity = 512;  // per-series history depth
 
-  // Two overloads instead of `Options options = {}`: a brace default for
-  // a nested class with member initializers trips GCC inside the
-  // enclosing class body.
-  explicit Collector(util::Clock& clock) : Collector(clock, Options()) {}
-  Collector(util::Clock& clock, Options options);
+  explicit Collector(util::Clock& clock);
 
   void add_target(ScrapeTarget target);
   void remove_target(const std::string& host);
@@ -57,6 +62,14 @@ class Collector {
 
   [[nodiscard]] const TimeSeriesStore& store() const { return store_; }
   [[nodiscard]] TimeSeriesStore& store() { return store_; }
+
+  // The merged grid timeline: every host's last pulled flight events,
+  // deduplicated (two hosts sharing one process share one flight ring —
+  // identical events keep the first supplying host) and sorted causally —
+  // by HLC stamp when stamped, falling back to recorder time, with every
+  // remaining field as a deterministic tie-breaker so the merge is
+  // byte-stable.
+  [[nodiscard]] std::vector<TimelineEvent> merged() const;
 
   // Per-target collection health: successes, gaps, and when each last
   // happened (-1 = never).
@@ -73,19 +86,17 @@ class Collector {
   // Deterministic JSONL of the whole store (delegates to the store).
   [[nodiscard]] std::string export_jsonl() const { return store_.export_jsonl(); }
 
-  [[nodiscard]] const Options& options() const { return options_; }
-
  private:
   struct Target {
     ScrapeTarget spec;
     TargetHealth health;
-    double next_due = 0;  // poll when now >= next_due
+    std::vector<FlightEvent> events;  // latest successful scrape's flight ring
+    double next_due = 0;              // poll when now >= next_due
   };
 
   void scrape_target(Target& target, double now);
 
   util::Clock* clock_;
-  Options options_;
   TimeSeriesStore store_;
   std::vector<Target> targets_;  // insertion order: deterministic polling
 };

@@ -1,27 +1,19 @@
 // Grid timeline — the cross-host half of the flight recorder. Each host's
 // ring explains one machine; a migration storm spans several, and the
 // post-mortem question is causal ("lease expired on A, *then* B
-// re-dispatched, *then* the relay on C miss-stormed"). The
-// TimelineCollector pulls every host's flight-recorder export over the
-// fabric (status "flight" SOAP method), decodes it, and merges the events
-// into one timeline ordered by HLC stamp — so the merged order is
-// consistent with message causality even when host wall clocks disagree.
-//
-// Failure semantics mirror the metrics Collector: a failed pull is a
-// *gap*, never a failure — the target stays subscribed, the gap is
-// counted, and the next tick retries. Dead hosts never stall collection
-// of healthy ones; targets poll independently in insertion order.
+// re-dispatched, *then* the relay on C miss-stormed"). The central
+// Collector pulls every host's flight-recorder export (status "flight"
+// SOAP method) in the same visit as its metrics, decodes it with
+// decode_flight_events, and merges the events into one timeline ordered
+// by HLC stamp (Collector::merged) — so the merged order is consistent
+// with message causality even when host wall clocks disagree. This file
+// is the flight text format: decode and render.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/hlc.hpp"
-#include "util/clock.hpp"
-#include "util/result.hpp"
 
 namespace rave::obs {
 
@@ -33,73 +25,10 @@ struct TimelineEvent {
 
 // Reverse of FlightRecorder::export_events(): one event per line,
 // `kind hlc_wall hlc_logical time trace_id component escaped-text`.
-// Malformed lines are skipped (a truncated pull yields a shorter
-// timeline, not a parse failure).
+// Each line is parsed within its own bytes; malformed lines are skipped
+// (a truncated pull yields a shorter timeline, not a parse failure), so
+// the result never holds more events than the text has lines.
 std::vector<FlightEvent> decode_flight_events(const std::string& text);
-
-struct TimelineTarget {
-  std::string host;
-  // Fetch the host's current flight-recorder export. Errors mean a gap
-  // for this tick only.
-  std::function<util::Result<std::string>()> pull;
-};
-
-class TimelineCollector {
- public:
-  struct Options {
-    double interval = 1.0;  // seconds between pulls of each target
-  };
-
-  // Two overloads instead of `Options options = {}` — the brace default
-  // for a nested class with member initializers trips GCC (same
-  // workaround as Collector).
-  explicit TimelineCollector(util::Clock& clock) : TimelineCollector(clock, Options()) {}
-  TimelineCollector(util::Clock& clock, Options options);
-
-  void add_target(TimelineTarget target);
-  void remove_target(const std::string& host);
-  [[nodiscard]] size_t target_count() const { return targets_.size(); }
-
-  // Pull every target whose interval has elapsed; returns the number of
-  // pull attempts made (successes and gaps both count).
-  size_t tick();
-  // Pull every target now, regardless of the interval.
-  size_t poll_now();
-
-  // The merged grid timeline: events from every host, deduplicated (two
-  // hosts sharing one process share one flight ring — identical events
-  // keep the first supplying host) and sorted causally — by HLC stamp
-  // when stamped, falling back to recorder time, with every remaining
-  // field as a deterministic tie-breaker so the merge is byte-stable.
-  [[nodiscard]] std::vector<TimelineEvent> merged() const;
-
-  // Per-target collection health (same shape as Collector's).
-  struct TargetHealth {
-    std::string host;
-    uint64_t pulls = 0;  // successful pulls
-    uint64_t gaps = 0;   // failed pull attempts
-    double last_success = -1;
-    double last_attempt = -1;
-    std::string last_error;  // empty unless the last attempt failed
-  };
-  [[nodiscard]] std::vector<TargetHealth> health() const;
-
-  [[nodiscard]] const Options& options() const { return options_; }
-
- private:
-  struct Target {
-    TimelineTarget spec;
-    TargetHealth health;
-    std::vector<FlightEvent> events;  // latest successful pull
-    double next_due = 0;              // pull when now >= next_due
-  };
-
-  void pull_target(Target& target, double now);
-
-  util::Clock* clock_;
-  Options options_;
-  std::vector<Target> targets_;  // insertion order: deterministic polling
-};
 
 // Render a merged timeline: header line, then one line per event —
 // `[<wall-seconds>|<logical>] host component KIND: text` with multi-line

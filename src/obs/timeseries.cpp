@@ -28,10 +28,12 @@ std::vector<ParsedSample> parse_prometheus(const std::string& text) {
       const size_t space = text.rfind(' ', eol - 1);
       if (space != std::string::npos && space > pos && space + 1 < eol) {
         ParsedSample sample;
-        const char* value_begin = text.data() + space + 1;
+        // strtod on a terminated copy of the value: in place, its
+        // leading-whitespace skip would cross the '\n' into the next line.
+        const std::string value(text, space + 1, eol - space - 1);
         char* value_end = nullptr;
-        sample.value = std::strtod(value_begin, &value_end);
-        if (value_end != value_begin) {
+        sample.value = std::strtod(value.c_str(), &value_end);
+        if (value_end != value.c_str()) {
           const size_t brace = text.find('{', pos);
           if (brace != std::string::npos && brace < space) {
             sample.name = text.substr(pos, brace - pos);

@@ -45,9 +45,9 @@ struct ParsedSample {
   double value = 0;
 };
 
-// Parse a Prometheus text scrape ("# TYPE" comments skipped). Malformed
-// lines are dropped rather than failing the whole scrape: a collector must
-// keep what it can read.
+// Parse a Prometheus text scrape ("# TYPE" comments skipped). Each line
+// is parsed within its own bytes; malformed lines are dropped rather than
+// failing the whole scrape: a collector must keep what it can read.
 std::vector<ParsedSample> parse_prometheus(const std::string& text);
 
 // Split a rendered label string into pairs, e.g. {a="x",le="0.1"} →

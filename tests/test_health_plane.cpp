@@ -1,8 +1,9 @@
 // Grid health plane tests: hybrid logical clock semantics, the flight
-// export/decode round trip, the cross-host timeline collector (causal
-// merge order, dedup, gap semantics, byte stability under SimClock), the
-// blackbox canary state machine against a real grid stream, and the
-// status "health" SOAP round trip. Everything runs under virtual time.
+// export/decode round trip, the central collector's cross-host timeline
+// (causal merge order, dedup, gap semantics, byte stability under
+// SimClock, one visit per host per interval), the blackbox canary state
+// machine against a real grid stream, and the status "health" SOAP round
+// trip. Everything runs under virtual time.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/status.hpp"
 #include "mesh/primitives.hpp"
 #include "obs/canary.hpp"
+#include "obs/collector.hpp"
 #include "obs/event.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/hlc.hpp"
@@ -109,7 +111,19 @@ TEST(Timeline, DecodeSkipsMalformedLines) {
   EXPECT_EQ(decoded[0].text, "ok");
 }
 
-// --- timeline collector ------------------------------------------------------
+TEST(Timeline, TruncatedLineIsSkippedNotFusedWithNext) {
+  // The first line stops after three fields; its missing fields must not
+  // be read from the line below it.
+  const auto decoded = decode_flight_events("3 10 1\n3 20 2 1.5 0 comp hello world\n");
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].hlc.wall, 20u);
+  EXPECT_EQ(decoded[0].hlc.logical, 2u);
+  EXPECT_DOUBLE_EQ(decoded[0].time, 1.5);
+  EXPECT_EQ(decoded[0].component, "comp");
+  EXPECT_EQ(decoded[0].text, "hello world");
+}
+
+// --- collector timeline merge -------------------------------------------
 
 std::string export_of(const std::vector<FlightEvent>& events) {
   FlightRecorder recorder;
@@ -130,15 +144,15 @@ FlightEvent stamped_note(uint64_t wall, uint32_t logical, const std::string& tex
 
 TEST(Timeline, MergedOrdersByHlcAcrossHostsAndDedupsSharedRings) {
   util::SimClock clock;
-  TimelineCollector collector(clock);
+  Collector collector(clock);
   // Host B's wall clock reads *later* recorder times, but its HLC stamps
   // are causally earlier: the merge must follow the stamps.
   const FlightEvent shared = stamped_note(5, 1, "shared", 9.0);
-  collector.add_target({"a", [&]() -> util::Result<std::string> {
-    return export_of({stamped_note(20, 1, "a-late", 1.0), shared});
+  collector.add_target({"a", [&]() -> util::Result<HostSnapshot> {
+    return HostSnapshot{"", export_of({stamped_note(20, 1, "a-late", 1.0), shared})};
   }});
-  collector.add_target({"b", [&]() -> util::Result<std::string> {
-    return export_of({stamped_note(10, 2, "b-early", 8.0), shared});
+  collector.add_target({"b", [&]() -> util::Result<HostSnapshot> {
+    return HostSnapshot{"", export_of({stamped_note(10, 2, "b-early", 8.0), shared})};
   }});
   EXPECT_EQ(collector.poll_now(), 2u);
 
@@ -156,13 +170,11 @@ TEST(Timeline, MergedOrdersByHlcAcrossHostsAndDedupsSharedRings) {
 
 TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
   util::SimClock clock;
-  TimelineCollector::Options options;
-  options.interval = 1.0;
-  TimelineCollector collector(clock, options);
+  Collector collector(clock);
   bool dead = false;
-  collector.add_target({"flaky", [&]() -> util::Result<std::string> {
+  collector.add_target({"flaky", [&]() -> util::Result<HostSnapshot> {
     if (dead) return util::make_error("host unreachable");
-    return export_of({stamped_note(1, 1, "before the crash")});
+    return HostSnapshot{"", export_of({stamped_note(1, 1, "before the crash")})};
   }});
 
   clock.advance(1.0);
@@ -171,7 +183,7 @@ TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
 
   dead = true;
   const uint64_t gaps_before =
-      MetricsRegistry::global().counter("rave_timeline_gaps_total", {{"host", "flaky"}}).value();
+      MetricsRegistry::global().counter("rave_collector_gaps_total", {{"host", "flaky"}}).value();
   clock.advance(1.0);
   EXPECT_EQ(collector.tick(), 1u);
   clock.advance(1.0);
@@ -179,11 +191,11 @@ TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
 
   const auto health = collector.health();
   ASSERT_EQ(health.size(), 1u);
-  EXPECT_EQ(health[0].pulls, 1u);
+  EXPECT_EQ(health[0].scrapes, 1u);
   EXPECT_EQ(health[0].gaps, 2u);
   EXPECT_NE(health[0].last_error.find("unreachable"), std::string::npos);
   EXPECT_EQ(
-      MetricsRegistry::global().counter("rave_timeline_gaps_total", {{"host", "flaky"}}).value(),
+      MetricsRegistry::global().counter("rave_collector_gaps_total", {{"host", "flaky"}}).value(),
       gaps_before + 2);
   // The last successful pull's events survive the gap — a dead host's
   // history stays in the merged timeline.
@@ -276,12 +288,77 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
   obs::set_clock(nullptr);
 }
 
+// --- one collector visit per host --------------------------------------------
+
+obs::Collector::TargetHealth health_of(RaveGrid& grid, const std::string& host) {
+  for (const auto& h : grid.collector()->health())
+    if (h.host == host) return h;
+  return {};
+}
+
+TEST(HealthPlane, BothPlanesDialEachHostOncePerInterval) {
+  obs::MetricsRegistry::global().reset_values();
+  obs::FlightRecorder::global().clear();
+  util::SimClock clock;
+  obs::set_clock(&clock);
+  {
+    RaveGrid grid(clock, net::ethernet_100mbit());
+    grid.add_data_service("datahost");
+    grid.add_render_service("laptop");
+    grid.add_render_service("xeon");
+    grid.enable_telemetry();
+    grid.enable_health_plane();
+
+    // A pass-through wrapper on the laptop's SOAP listener counts every
+    // dial of it; the collector's visit is the only thing that dials it.
+    int dials = 0;
+    grid.fabric().set_fault("laptop/soap", [&dials](net::ChannelPtr channel) {
+      ++dials;
+      return channel;
+    });
+    const uint64_t scrapes_before = health_of(grid, "laptop").scrapes;
+    for (int interval = 1; interval <= 4; ++interval) {
+      clock.advance(1.0);
+      grid.pump_all();
+      grid.pump_all();  // a second round in the same instant is not due
+      EXPECT_EQ(dials, interval) << "metrics and flight share one visit";
+    }
+    EXPECT_EQ(health_of(grid, "laptop").scrapes, scrapes_before + 4);
+
+    // A line only the laptop's last visit sees: the surviving hosts'
+    // rings roll over (cleared here), so the laptop's pull is its only
+    // copy once the host dies.
+    obs::FlightRecorder::global().record_note("test", "laptop last words", clock.now());
+    clock.advance(1.0);
+    grid.pump_all();
+    EXPECT_EQ(dials, 5);
+
+    grid.fabric().unlisten("laptop/soap");
+    obs::FlightRecorder::global().clear();
+    const obs::Collector::TargetHealth laptop = health_of(grid, "laptop");
+    const uint64_t xeon_before = health_of(grid, "xeon").scrapes;
+    for (int interval = 1; interval <= 3; ++interval) {
+      clock.advance(1.0);
+      grid.pump_all();
+      grid.pump_all();
+      EXPECT_EQ(health_of(grid, "laptop").gaps, laptop.gaps + interval);
+    }
+    EXPECT_EQ(health_of(grid, "laptop").scrapes, laptop.scrapes);
+    EXPECT_EQ(health_of(grid, "xeon").scrapes, xeon_before + 3);
+    EXPECT_EQ(dials, 5);
+    const std::string timeline = grid.timeline_text();
+    EXPECT_NE(timeline.find("laptop test note: laptop last words"), std::string::npos)
+        << timeline;
+  }
+  obs::set_clock(nullptr);
+}
+
 // --- the acceptance scenario: cross-host kill, byte-stable merged timeline ----
 
 // One full failure story under virtual time: two render services share a
 // session, one goes silent, its lease expires and the planner re-homes
-// its nodes; the timeline collector pulls both hosts' rings (the silent
-// host's pull gaps out) and merges the causal order.
+// its nodes; the collector pulls both hosts' rings (the silent host's
+// scrape gaps out) and merges the causal order.
 std::string run_kill_timeline() {
   obs::MetricsRegistry::global().reset_values();
   obs::FlightRecorder::global().clear();
@@ -327,14 +404,14 @@ std::string run_kill_timeline() {
     EXPECT_TRUE(data.distribute("demo").ok());
     pump_both();
 
-    obs::TimelineCollector collector(clock);
+    obs::Collector collector(clock);
     bool hung_dead = false;
-    collector.add_target({"datahost", []() -> util::Result<std::string> {
-      return obs::FlightRecorder::global().export_events();
+    collector.add_target({"datahost", []() -> util::Result<obs::HostSnapshot> {
+      return obs::HostSnapshot{"", obs::FlightRecorder::global().export_events()};
     }});
-    collector.add_target({"hung", [&]() -> util::Result<std::string> {
+    collector.add_target({"hung", [&]() -> util::Result<obs::HostSnapshot> {
       if (hung_dead) return util::make_error("host unreachable");
-      return obs::FlightRecorder::global().export_events();
+      return obs::HostSnapshot{"", obs::FlightRecorder::global().export_events()};
     }});
     (void)collector.poll_now();
 

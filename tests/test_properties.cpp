@@ -5,12 +5,18 @@
 // scene-tree invariants. Deterministic PRNG — failures reproduce.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <random>
 
 #include "compress/codec.hpp"
 #include "core/protocol.hpp"
 #include "render/compositor.hpp"
 #include "mesh/primitives.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
+#include "obs/timeseries.hpp"
 #include "render/framebuffer.hpp"
 #include "scene/serialize.hpp"
 #include "scene/tree.hpp"
@@ -115,6 +121,147 @@ TEST(Fuzz, XmlParserSurvivesMangledDocuments) {
     (void)services::decode_call(mangled);
   }
   SUCCEED();
+}
+
+// --- line decoders fed with peer bytes ----------------------------------------
+
+// The central collector feeds two text decoders with whatever a host
+// sends: its flight-recorder export and its Prometheus exposition. Both
+// work line by line, so a mangled input may lose lines but never invent
+// them, and decoding the whole text must equal decoding each line alone
+// (no field is ever read across a '\n').
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t eol = text.find('\n', pos);
+    const size_t next = eol == std::string::npos ? text.size() : eol + 1;
+    lines.push_back(text.substr(pos, next - pos));
+    pos = next;
+  }
+  return lines;
+}
+
+std::string flight_key(const obs::FlightEvent& e) {
+  char head[128];
+  std::snprintf(head, sizeof(head), "%u %llu %u %a %llu ", static_cast<unsigned>(e.kind),
+                static_cast<unsigned long long>(e.hlc.wall), e.hlc.logical, e.time,
+                static_cast<unsigned long long>(e.trace_id));
+  return head + e.component + "|" + e.text;
+}
+
+std::string sample_key(const obs::ParsedSample& s) {
+  char value[48];
+  std::snprintf(value, sizeof(value), " %a", s.value);
+  return s.name + "|" + s.labels + value;
+}
+
+template <typename Decode, typename Key>
+testing::AssertionResult decodes_line_by_line(const std::string& text, Decode decode,
+                                              Key key) {
+  std::vector<std::string> whole;
+  for (const auto& item : decode(text)) whole.push_back(key(item));
+  const std::vector<std::string> lines = split_lines(text);
+  if (whole.size() > lines.size())
+    return testing::AssertionFailure()
+           << whole.size() << " items from " << lines.size() << " lines";
+  std::vector<std::string> by_line;
+  for (const std::string& line : lines)
+    for (const auto& item : decode(line)) by_line.push_back(key(item));
+  if (whole != by_line)
+    return testing::AssertionFailure() << "a field was read across a line break";
+  return testing::AssertionSuccess();
+}
+
+// Every prefix, then random byte flips biased towards the characters the
+// formats are made of.
+template <typename Check>
+void mutate_text(const std::string& seed, uint32_t rng_seed, Check check) {
+  for (size_t len = 0; len <= seed.size(); ++len) {
+    ASSERT_TRUE(check(seed.substr(0, len))) << "cut at " << len;
+  }
+  static const char kStructural[] = {'\n', ' ', '\t', '\\', '\0', '{', '}', '"',
+                                     '#',  '-', '.',  '0',  '9',  'n', 'e'};
+  std::mt19937 rng(rng_seed);
+  for (int round = 0; round < 400; ++round) {
+    std::string mangled = seed;
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = rng() % mangled.size();
+      mangled[pos] = rng() % 2 == 0 ? kStructural[rng() % sizeof(kStructural)]
+                                    : static_cast<char>(rng() % 256);
+    }
+    ASSERT_TRUE(check(mangled)) << "round " << round;
+  }
+}
+
+TEST(Fuzz, FlightDecoderNeverFusesOrInventsLines) {
+  std::vector<obs::FlightEvent> events(4);
+  events[0].kind = obs::FlightEvent::Kind::Decision;
+  events[0].time = 1.25;
+  events[0].component = "data";
+  events[0].text = "recovery for demo\n  input: service 2 failed\n  chosen: move 3 -> 1";
+  events[0].hlc = {1'250'000, 3};
+  events[1].kind = obs::FlightEvent::Kind::Note;
+  events[1].time = 2.5;
+  events[1].component = "render";
+  events[1].text = "backslash \\ and trailing";
+  events[1].trace_id = 42;
+  events[2].kind = obs::FlightEvent::Kind::Failure;
+  events[2].time = 3.0;
+  events[2].component = "collector";
+  events[2].text = "scrape_gap: laptop: host unreachable";
+  events[2].hlc = {3'000'000, 1};
+  events[3].kind = obs::FlightEvent::Kind::Span;
+  events[3].time = 4.125;
+  events[3].component = "span";
+  obs::FlightRecorder recorder;
+  for (const obs::FlightEvent& e : events) recorder.record(e);
+  const std::string seed = recorder.export_events();
+
+  const std::vector<obs::FlightEvent> decoded = obs::decode_flight_events(seed);
+  ASSERT_EQ(decoded.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(flight_key(decoded[i]), flight_key(events[i]));
+
+  mutate_text(seed, 31, [](const std::string& text) {
+    return decodes_line_by_line(text, obs::decode_flight_events, flight_key);
+  });
+}
+
+TEST(Fuzz, PrometheusParserNeverFusesOrInventsLines) {
+  obs::MetricsRegistry registry;
+  registry.counter("rave_fuzz_total", {{"kind", "a"}}).inc(7);
+  registry.gauge("rave_fuzz_depth").set(2.5);
+  auto& latency = registry.histogram("rave_fuzz_seconds", {{"host", "h"}});
+  latency.observe(0.004);
+  latency.observe(0.2);
+  const std::string seed = registry.scrape();
+
+  // Round trip: one sample per non-comment line, each one re-reading as
+  // `name{labels} value` off its own line.
+  std::vector<std::string> lines;
+  for (const std::string& line : split_lines(seed))
+    if (line[0] != '#') lines.push_back(line);
+  const std::vector<obs::ParsedSample> samples = obs::parse_prometheus(seed);
+  ASSERT_EQ(samples.size(), lines.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const std::string head = samples[i].name + samples[i].labels + " ";
+    ASSERT_EQ(lines[i].compare(0, head.size(), head), 0) << lines[i];
+    EXPECT_EQ(samples[i].value, std::strtod(lines[i].c_str() + head.size(), nullptr))
+        << lines[i];
+  }
+  bool counter_seen = false;
+  for (const obs::ParsedSample& s : samples)
+    if (s.name == "rave_fuzz_total" && s.labels == "{kind=\"a\"}" && s.value == 7)
+      counter_seen = true;
+  EXPECT_TRUE(counter_seen) << seed;
+  // A value of only whitespace does not borrow the next line's number.
+  EXPECT_TRUE(obs::parse_prometheus("rave_a \t\n5 x\n").empty());
+
+  mutate_text(seed, 47, [](const std::string& text) {
+    return decodes_line_by_line(text, obs::parse_prometheus, sample_key);
+  });
 }
 
 // --- replica convergence ---------------------------------------------------------

@@ -152,29 +152,27 @@ TEST(Timeseries, SparklineScalesToOwnRange) {
 TEST(Collector, DeterministicAcrossIdenticalRuns) {
   const auto run = [] {
     util::SimClock clock;
-    Collector::Options options;
-    options.interval = 0.5;
-    options.ring_capacity = 64;
-    Collector collector(clock, options);
+    Collector collector(clock);
     int alpha_calls = 0;
-    collector.add_target({"alpha", [&alpha_calls]() -> util::Result<std::string> {
+    collector.add_target({"alpha", [&alpha_calls]() -> util::Result<HostSnapshot> {
                             ++alpha_calls;
                             char buf[96];
                             std::snprintf(buf, sizeof(buf),
                                           "rave_ticks_total %d\nrave_depth %d\n",
                                           alpha_calls * 3, alpha_calls % 4);
-                            return std::string(buf);
+                            return HostSnapshot{buf, ""};
                           }});
     int beta_calls = 0;
-    collector.add_target({"beta", [&beta_calls]() -> util::Result<std::string> {
+    collector.add_target({"beta", [&beta_calls]() -> util::Result<HostSnapshot> {
                             ++beta_calls;
                             if (beta_calls % 3 == 0)
                               return util::make_error("synthetic outage");
-                            return std::string("rave_ticks_total ") +
-                                   std::to_string(beta_calls) + "\n";
+                            return HostSnapshot{
+                                "rave_ticks_total " + std::to_string(beta_calls) + "\n", ""};
                           }});
+    // Half-interval ticks: every other one is due.
     for (int i = 0; i < 24; ++i) {
-      clock.advance(0.25);
+      clock.advance(0.5);
       collector.tick();
     }
     return collector.export_jsonl();
@@ -193,9 +191,9 @@ TEST(Collector, GapNeverStallsHealthyTargets) {
   util::SimClock clock;
   Collector collector(clock);
   collector.add_target(
-      {"dead", []() -> util::Result<std::string> { return util::make_error("down"); }});
+      {"dead", []() -> util::Result<HostSnapshot> { return util::make_error("down"); }});
   collector.add_target(
-      {"live", []() -> util::Result<std::string> { return std::string("rave_up 1\n"); }});
+      {"live", []() -> util::Result<HostSnapshot> { return HostSnapshot{"rave_up 1\n", ""}; }});
   for (int i = 0; i < 5; ++i) {
     clock.advance(1.0);
     collector.tick();
@@ -217,11 +215,11 @@ TEST(Collector, ReRegisteringTargetKeepsHistory) {
   util::SimClock clock;
   Collector collector(clock);
   collector.add_target(
-      {"h", []() -> util::Result<std::string> { return std::string("rave_v 1\n"); }});
+      {"h", []() -> util::Result<HostSnapshot> { return HostSnapshot{"rave_v 1\n", ""}; }});
   clock.advance(1.0);
   collector.tick();
   collector.add_target(
-      {"h", []() -> util::Result<std::string> { return std::string("rave_v 2\n"); }});
+      {"h", []() -> util::Result<HostSnapshot> { return HostSnapshot{"rave_v 2\n", ""}; }});
   clock.advance(1.0);
   collector.tick();
   EXPECT_EQ(collector.target_count(), 1u);
@@ -557,9 +555,7 @@ GridRunResult run_telemetry_grid() {
     EXPECT_TRUE(grid.join("laptop", "datahost", "demo").ok());
     EXPECT_TRUE(data.distribute("demo").ok());
 
-    obs::Collector::Options collect;
-    collect.interval = 1.0;
-    grid.enable_telemetry(collect, obs::default_render_slos(/*target_fps=*/5.0));
+    grid.enable_telemetry(obs::default_render_slos(/*target_fps=*/5.0));
 
     ThinClient client(clock, grid.fabric());
     EXPECT_TRUE(
@@ -616,9 +612,7 @@ TEST(TelemetryGrid, DeadHostLeavesGapWithoutStallingOthers) {
     grid.add_data_service("datahost");
     grid.add_render_service("laptop");
     grid.add_render_service("xeon");
-    obs::Collector::Options collect;
-    collect.interval = 1.0;
-    grid.enable_telemetry(collect);
+    grid.enable_telemetry();
 
     for (int i = 0; i < 8; ++i) {
       clock.advance(0.5);
@@ -730,11 +724,11 @@ TEST(TelemetryDashboard, RendersRelayNetqAndVolumeLines) {
   obs::MetricsRegistry::global().reset_values();
   auto& reg = obs::MetricsRegistry::global();
   util::SimClock clock;
-  obs::Collector::Options options;
-  options.interval = 1.0;
-  obs::Collector collector(clock, options);
+  obs::Collector collector(clock);
   collector.add_target(
-      {"edge", [&]() -> util::Result<std::string> { return reg.scrape(); }});
+      {"edge", [&]() -> util::Result<obs::HostSnapshot> {
+         return obs::HostSnapshot{reg.scrape(), ""};
+       }});
 
   // First scrape: the relay cache totals, a standing write-queue depth,
   // and one queue-wait / volume-march observation each.
