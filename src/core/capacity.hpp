@@ -50,7 +50,7 @@ struct NodeCost {
   uint64_t texture_bytes = 0;
   // Measured volume demand: rays the marcher cast into this node last
   // frame, and that demand converted into polygon-equivalent work units
-  // (rays * polygons_per_sec / rays_per_sec — see price_volume_costs in
+  // (rays * polygons_per_sec / rays_per_sec — see assigned_costs in
   // core/data_service). Zero until a render service reports measurements.
   uint64_t measured_rays = 0;
   double ray_work = 0;

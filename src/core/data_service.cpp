@@ -22,6 +22,9 @@ using util::Result;
 using util::Status;
 
 namespace {
+// Re-run migration planning at most this often per session (seconds).
+constexpr double kRebalanceInterval = 0.5;
+
 // One line per migration action for flight-recorder decisions.
 std::string describe_action(const MigrationAction& action) {
   switch (action.kind) {
@@ -290,12 +293,8 @@ void DataService::commit_update(Session& session, Subscriber* origin, SceneUpdat
     for (Subscriber& sub : session.subscribers) {
       if (!sub.alive || sub.kind != SubscriberKind::RenderService || sub.whole_tree) continue;
       any_distributed = true;
-      std::vector<NodeCost> costs;
-      for (NodeId id : sub.interest)
-        if (session.tree.contains(id)) costs.push_back(node_cost(session.tree, id));
-      price_volume_costs(sub, costs);
       double assigned = 0;
-      for (const NodeCost& cost : costs) assigned += cost.work_units();
+      for (const NodeCost& cost : assigned_costs(session, sub)) assigned += cost.work_units();
       const double headroom = sub.capacity.polygon_budget(options_.target_fps) - assigned;
       if (best == nullptr || headroom > best_headroom) {
         best = &sub;
@@ -420,20 +419,20 @@ size_t DataService::pump_session(Session& session) {
 
   bool pressure = overload_seen;
   if (!pressure && advisor_ && options_.auto_rebalance &&
-      clock_->now() - session.last_rebalance >= options_.rebalance_interval) {
+      clock_->now() - session.last_rebalance >= kRebalanceInterval) {
     // Telemetry-plane pressure: a sustained SLO burn triggers a planning
     // round even while every instant EWMA flag is still quiet. Checked at
     // the rebalance-interval cadence so the advisor is not hammered.
     for (const Subscriber& sub : session.subscribers) {
       if (!sub.alive || sub.kind != SubscriberKind::RenderService) continue;
-      if (advisor_(sub.host).slo_burning) {
+      if (advisor_(sub.host).trend.slo_burning) {
         pressure = true;
         break;
       }
     }
   }
   if (pressure && options_.auto_rebalance &&
-      clock_->now() - session.last_rebalance >= options_.rebalance_interval) {
+      clock_->now() - session.last_rebalance >= kRebalanceInterval) {
     session.last_rebalance = clock_->now();
     rebalance_locked(session);
   }
@@ -523,8 +522,8 @@ void DataService::recover_failed(Session& session) {
         (void)detector.heartbeat(key, sub.last_seen);
       else
         detector.watch(key, sub.last_seen);
-      if (health_advisor_ && sub.kind == SubscriberKind::RenderService) {
-        const obs::HealthVerdict verdict = health_advisor_(sub.host);
+      if (advisor_ && sub.kind == SubscriberKind::RenderService) {
+        const obs::HealthVerdict verdict = advisor_(sub.host).health;
         if (verdict.state == obs::HealthState::Unhealthy)
           detector.condemn(key, verdict.reason.empty() ? std::string("canary unhealthy")
                                                        : verdict.reason);
@@ -564,47 +563,22 @@ void DataService::recover_failed(Session& session) {
     }
   }
 
-  // Re-dispatch: feed the planner every render service, dead ones carrying
-  // the ServiceFailed flag plus their stranded node set.
+  // Re-dispatch, only when some dead render service still holds nodes
+  // that are in the tree: feed the planner every render service, dead
+  // ones carrying the ServiceFailed flag plus their stranded node set.
+  const auto stranded = [&session](const Subscriber& sub) {
+    return !sub.alive && sub.kind == SubscriberKind::RenderService && !sub.whole_tree &&
+           std::any_of(sub.interest.begin(), sub.interest.end(),
+                       [&session](NodeId id) { return session.tree.contains(id); });
+  };
+  if (std::none_of(session.subscribers.begin(), session.subscribers.end(), stranded)) return;
   std::vector<ServiceLoadView> views;
-  bool any_stranded = false;
   const double now = clock_->now();
   for (const Subscriber& sub : session.subscribers) {
     if (sub.kind != SubscriberKind::RenderService) continue;
     if (!sub.alive && (sub.whole_tree || sub.interest.empty())) continue;  // nothing stranded
-    ServiceLoadView view;
-    view.subscriber_id = sub.id;
-    view.capacity = sub.capacity;
-    view.fps = sub.tracker.fps();
-    view.failed = !sub.alive;
-    if (sub.alive) {
-      view.overloaded = sub.tracker.overloaded(now);
-      view.underloaded = sub.tracker.underloaded(now);
-      if (advisor_) {
-        const TrendAdvisory trend = advisor_(sub.host);
-        view.slo_burning = trend.slo_burning;
-        view.anomaly = trend.anomaly;
-        view.advisory = trend.note;
-      }
-      if (health_advisor_) {
-        const obs::HealthVerdict verdict = health_advisor_(sub.host);
-        if (verdict.state >= obs::HealthState::Degraded) {
-          view.health_degraded = true;
-          view.health_note = verdict.reason;
-        }
-      }
-    }
-    if (sub.whole_tree) {
-      view.assigned = payload_costs(session.tree);
-    } else {
-      for (NodeId id : sub.interest)
-        if (session.tree.contains(id)) view.assigned.push_back(node_cost(session.tree, id));
-    }
-    price_volume_costs(sub, view.assigned);
-    any_stranded = any_stranded || (view.failed && !view.assigned.empty());
-    views.push_back(std::move(view));
+    views.push_back(load_view(session, sub, now));
   }
-  if (!any_stranded) return;
 
   MigrationConfig config;
   config.target_fps = options_.target_fps;
@@ -636,36 +610,9 @@ void DataService::recover_failed(Session& session) {
 std::vector<MigrationAction> DataService::rebalance_locked(Session& session) {
   std::vector<ServiceLoadView> views;
   const double now = clock_->now();
-  for (const Subscriber& sub : session.subscribers) {
-    if (!sub.alive || sub.kind != SubscriberKind::RenderService) continue;
-    ServiceLoadView view;
-    view.subscriber_id = sub.id;
-    view.capacity = sub.capacity;
-    view.fps = sub.tracker.fps();
-    view.overloaded = sub.tracker.overloaded(now);
-    view.underloaded = sub.tracker.underloaded(now);
-    if (advisor_) {
-      const TrendAdvisory trend = advisor_(sub.host);
-      view.slo_burning = trend.slo_burning;
-      view.anomaly = trend.anomaly;
-      view.advisory = trend.note;
-    }
-    if (health_advisor_) {
-      const obs::HealthVerdict verdict = health_advisor_(sub.host);
-      if (verdict.state >= obs::HealthState::Degraded) {
-        view.health_degraded = true;
-        view.health_note = verdict.reason;
-      }
-    }
-    if (sub.whole_tree) {
-      view.assigned = payload_costs(session.tree);
-    } else {
-      for (NodeId id : sub.interest)
-        if (session.tree.contains(id)) view.assigned.push_back(node_cost(session.tree, id));
-    }
-    price_volume_costs(sub, view.assigned);
-    views.push_back(std::move(view));
-  }
+  for (const Subscriber& sub : session.subscribers)
+    if (sub.alive && sub.kind == SubscriberKind::RenderService)
+      views.push_back(load_view(session, sub, now));
 
   MigrationConfig config;
   config.target_fps = options_.target_fps;
@@ -680,6 +627,30 @@ std::vector<MigrationAction> DataService::rebalance_locked(Session& session) {
     session.last_plan_summary = std::move(decision);
   }
   return actions;
+}
+
+ServiceLoadView DataService::load_view(const Session& session, const Subscriber& sub,
+                                       double now) const {
+  ServiceLoadView view;
+  view.subscriber_id = sub.id;
+  view.capacity = sub.capacity;
+  view.fps = sub.tracker.fps();
+  view.failed = !sub.alive;
+  view.assigned = assigned_costs(session, sub);
+  if (!sub.alive) return view;
+  view.overloaded = sub.tracker.overloaded(now);
+  view.underloaded = sub.tracker.underloaded(now);
+  if (advisor_) {
+    const obs::HostAdvisory advice = advisor_(sub.host);
+    view.slo_burning = advice.trend.slo_burning;
+    view.anomaly = advice.trend.anomaly;
+    view.advisory = advice.trend.note;
+    if (advice.health.state >= obs::HealthState::Degraded) {
+      view.health_degraded = true;
+      view.health_note = advice.health.reason;
+    }
+  }
+  return view;
 }
 
 void DataService::apply_actions(Session& session, const std::vector<MigrationAction>& actions) {
@@ -825,8 +796,16 @@ std::vector<DataService::SubscriberView> DataService::subscribers(
   return out;
 }
 
-void DataService::price_volume_costs(const Subscriber& sub, std::vector<NodeCost>& costs) const {
-  if (sub.capacity.rays_per_sec <= 0) return;
+std::vector<NodeCost> DataService::assigned_costs(const Session& session,
+                                                  const Subscriber& sub) const {
+  std::vector<NodeCost> costs;
+  if (sub.whole_tree) {
+    costs = payload_costs(session.tree);
+  } else {
+    for (NodeId id : sub.interest)
+      if (session.tree.contains(id)) costs.push_back(node_cost(session.tree, id));
+  }
+  if (sub.capacity.rays_per_sec <= 0) return costs;
   // One ray costs as much as polys_per_ray polygons on this service, so
   // measured ray demand lands in the same work-unit currency the polygon
   // budget arithmetic already uses.
@@ -838,6 +817,7 @@ void DataService::price_volume_costs(const Subscriber& sub, std::vector<NodeCost
     cost.measured_rays = it->second;
     cost.ray_work = static_cast<double>(it->second) * polys_per_ray;
   }
+  return costs;
 }
 
 DataService::Session* DataService::find_session(const std::string& name) {

@@ -43,8 +43,6 @@ class DataService {
   // its assigned nodes are re-dispatched to survivors.
   struct Options : ServiceConfig {
     std::string host_name = "datahost";
-    // Re-run migration planning at most this often per session (seconds).
-    double rebalance_interval = 0.5;
     // Automatically rebalance on over/underload reports.
     bool auto_rebalance = true;
   };
@@ -105,22 +103,17 @@ class DataService {
   using RecruitFn = std::function<size_t(const std::string& session)>;
   void set_recruiter(RecruitFn recruiter) { recruiter_ = std::move(recruiter); }
 
-  // Trend advisor: consulted per subscriber host when building planner
-  // inputs, so plan_migration sees sustained SLO burn / step-change
-  // anomalies from the telemetry plane next to the instant EWMA flags.
-  // An advisory with slo_burning also *triggers* a rebalance round (at
-  // the usual rebalance_interval cadence) even when no load report has
-  // tripped the EWMA thresholds yet.
-  using TrendAdvisorFn = std::function<TrendAdvisory(const std::string& host)>;
-  void set_trend_advisor(TrendAdvisorFn advisor) { advisor_ = std::move(advisor); }
-
-  // Health advisor: consulted per render-service host when the failure
-  // detector runs. An Unhealthy canary verdict *condemns* the service —
-  // it is evicted (and its nodes re-dispatched) on the next detector
-  // round, before its lease would expire. A Degraded verdict rides onto
-  // the planner views as a health advisory (no eviction).
-  using HealthAdvisorFn = std::function<obs::HealthVerdict(const std::string& host)>;
-  void set_health_advisor(HealthAdvisorFn advisor) { health_advisor_ = std::move(advisor); }
+  // Advisor: the grid's per-host advice (obs::HostAdvisory). Its health
+  // verdict is consulted per render-service host when the failure
+  // detector runs: Unhealthy *condemns* the service, which is evicted
+  // (and its nodes re-dispatched) on the next detector round, before its
+  // lease would expire. Both halves ride onto the planner views: SLO burn
+  // / step-change anomalies next to the instant EWMA flags, and a
+  // Degraded verdict as a health advisory (no eviction). A trend with
+  // slo_burning also *triggers* a rebalance round (at the usual
+  // rebalance cadence) even when no load report has tripped the EWMA
+  // thresholds yet.
+  void set_advisor(obs::AdvisorFn advisor) { advisor_ = std::move(advisor); }
 
   // The full explain summary (inputs, rejections, chosen actions) of the
   // most recent planning round for `session` — the same text the flight
@@ -208,12 +201,16 @@ class DataService {
   bool interest_covers(const Session& session, const Subscriber& subscriber,
                        scene::NodeId node) const;
   std::vector<MigrationAction> rebalance_locked(Session& session);
+  // The planner's input for one render subscriber: capacity, assigned
+  // costs, and (alive subscribers only) load flags and advice.
+  ServiceLoadView load_view(const Session& session, const Subscriber& sub, double now) const;
   void apply_actions(Session& session, const std::vector<MigrationAction>& actions);
-  // Attach the measured rays/s pricing to volume nodes in `costs`: the
-  // node's reported ray demand converted into polygon-equivalent work
-  // units (rays * polygons_per_sec / rays_per_sec), so the planner and the
-  // SLO engine weigh volumes by what they actually cost this service.
-  void price_volume_costs(const Subscriber& sub, std::vector<NodeCost>& costs) const;
+  // The costs of the nodes `sub` holds, with the measured rays/s pricing
+  // attached to volume nodes: each one's reported ray demand converted
+  // into polygon-equivalent work units (rays * polygons_per_sec /
+  // rays_per_sec), so the planner weighs volumes by what they actually
+  // cost this service.
+  std::vector<NodeCost> assigned_costs(const Session& session, const Subscriber& sub) const;
   Session* find_session(const std::string& name);
   [[nodiscard]] const Session* find_session(const std::string& name) const;
 
@@ -224,8 +221,7 @@ class DataService {
   std::vector<net::ChannelPtr> pending_;  // connected, not yet subscribed
   uint64_t next_subscriber_id_ = 1;
   RecruitFn recruiter_;
-  TrendAdvisorFn advisor_;
-  HealthAdvisorFn health_advisor_;
+  obs::AdvisorFn advisor_;
   Stats stats_;
 };
 

@@ -60,7 +60,7 @@ std::string format_seconds(double seconds) {
 }  // namespace
 
 FrameStreamPublisher::FrameStreamPublisher(FrameStreamOptions options)
-    : options_(options), memo_(options.encode_memo_capacity) {}
+    : options_(options) {}
 
 net::FanoutHub::SubscriberId FrameStreamPublisher::subscribe(net::ChannelPtr channel,
                                                              QualityClass quality) {

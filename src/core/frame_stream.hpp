@@ -34,7 +34,6 @@ namespace rave::core {
 
 struct FrameStreamOptions {
   int tile_size = 64;                 // square content-hash grid cell, px
-  size_t encode_memo_capacity = 4096;  // encoded tiles kept per publisher
   size_t tile_store_capacity = 1024;   // decoded tiles kept per subscriber
   // Frame-age SLO hook: > 0 means a frame completing older than this
   // (receiver clock now − publisher's stamped publish time) records a

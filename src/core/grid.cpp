@@ -76,10 +76,9 @@ DataService& RaveGrid::add_data_service(const std::string& host_name,
     host.data->set_recruiter([this, host_name](const std::string& session) {
       return recruit(host_name, session);
     });
-    if (slo_) wire_trend_advisor(*host.data);
-    if (canary_) wire_health_advisor(*host.data);
+    host.data->set_advisor(advisor());
     register_status_endpoint(*host.container, host_name, host.data.get(), host.render.get(),
-                             health_report_fn(host_name));
+                             advisor());
   }
   return *host.data;
 }
@@ -94,7 +93,7 @@ RenderService& RaveGrid::add_render_service(const std::string& host_name,
     if (!options.active_client_only) (void)host.render->listen_peer(host_name + "/peer");
     host.render->register_soap(*host.container);
     register_status_endpoint(*host.container, host_name, host.data.get(), host.render.get(),
-                             health_report_fn(host_name));
+                             advisor());
   }
   return *host.render;
 }
@@ -258,9 +257,6 @@ void RaveGrid::enable_telemetry(std::vector<obs::SloSpec> slos) {
   ensure_collector();
   slo_ = std::make_unique<obs::SloEngine>();
   for (obs::SloSpec& spec : slos) slo_->add(std::move(spec));
-  for (auto& [name, host] : hosts_) {
-    if (host.data) wire_trend_advisor(*host.data);
-  }
 }
 
 void RaveGrid::add_scrape_target(Host& host) {
@@ -297,9 +293,6 @@ void RaveGrid::enable_health_plane(obs::Canary::Options canary_options) {
   if (canary_) return;  // idempotent: one health plane per grid
   ensure_collector();
   canary_ = std::make_unique<obs::Canary>(*clock_, fabric_, canary_options);
-  for (auto& [name, host] : hosts_) {
-    if (host.data) wire_health_advisor(*host.data);
-  }
 }
 
 void RaveGrid::watch_streams(const std::string& session) {
@@ -317,32 +310,13 @@ std::string RaveGrid::timeline_text() {
   return obs::format_timeline(collector_->merged());
 }
 
-void RaveGrid::wire_health_advisor(DataService& data) {
-  data.set_health_advisor([this](const std::string& host) {
-    return canary_ ? canary_->verdict(host) : obs::HealthVerdict{};
-  });
-}
-
-HealthReportFn RaveGrid::health_report_fn(const std::string& host) {
-  // Evaluated at status time, so a canary created after the host still
-  // answers; an unwatched host reports Unknown.
-  return [this, host]() {
-    if (canary_) return canary_->verdict(host);
-    obs::HealthVerdict verdict;
-    verdict.host = host;
-    return verdict;
+obs::AdvisorFn RaveGrid::advisor() {
+  return [this](const std::string& host) {
+    obs::HostAdvisory advice;
+    if (slo_) advice.trend = slo_->advisory(host);
+    if (canary_) advice.health = canary_->verdict(host);
+    return advice;
   };
-}
-
-void RaveGrid::wire_trend_advisor(DataService& data) {
-  data.set_trend_advisor([this](const std::string& host) {
-    const obs::TrendAdvisory trend = slo_->advisory(host);
-    TrendAdvisory out;
-    out.slo_burning = trend.slo_burning;
-    out.anomaly = trend.anomaly;
-    out.note = trend.note;
-    return out;
-  });
 }
 
 std::string RaveGrid::telemetry_dashboard() {

@@ -91,9 +91,9 @@ class RaveGrid {
   // host records a collection *gap*, never a service failure) and pulls
   // its status "metrics" exposition and "flight" export in that one
   // visit; it tags the series by host, and the SLO engine evaluates the
-  // objectives after each poll round. Every data service additionally
-  // gets a trend advisor feeding SLO burn / step-change anomaly flags
-  // into plan_migration. Idempotent.
+  // objectives after each poll round. From then on the grid's advisor
+  // adds the engine's SLO burn / step-change anomaly flags to every data
+  // service's planner inputs. Idempotent.
   void enable_telemetry(std::vector<obs::SloSpec> slos = obs::default_render_slos());
   [[nodiscard]] obs::Collector* collector() { return collector_.get(); }
   [[nodiscard]] obs::SloEngine* slo_engine() { return slo_.get(); }
@@ -105,9 +105,8 @@ class RaveGrid {
   // Stand up the grid health plane: blackbox canary probes plus the
   // central collector (shared with the telemetry plane), whose per-host
   // visit also pulls the status "flight" export that timeline_text()
-  // merges. Every data service gets a health advisor answering from the
-  // canary's verdicts, and each host's status "health" SOAP method starts
-  // reporting its canary verdict. Idempotent.
+  // merges. From then on the grid's advisor answers every data service
+  // and each host's status report from the canary's verdicts. Idempotent.
   void enable_health_plane(obs::Canary::Options canary_options = {});
   [[nodiscard]] obs::Canary* canary() { return canary_.get(); }
 
@@ -133,9 +132,10 @@ class RaveGrid {
   Host& host_slot(const std::string& name);
   void ensure_collector();
   void add_scrape_target(Host& host);
-  void wire_trend_advisor(DataService& data);
-  void wire_health_advisor(DataService& data);
-  [[nodiscard]] HealthReportFn health_report_fn(const std::string& host);
+  // The one per-host advisor every data service and status endpoint gets.
+  // It reads the planes at call time, so a host added before either plane
+  // sees the same advice as one added after.
+  [[nodiscard]] obs::AdvisorFn advisor();
 
   util::Clock* clock_;
   InProcFabric fabric_;

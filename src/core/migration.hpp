@@ -68,15 +68,6 @@ struct MigrationConfig {
   double headroom_fill_fraction = 0.8;
 };
 
-// Trend advisory for one host, produced by the telemetry plane's SLO
-// engine and copied onto ServiceLoadView before planning. Kept as a plain
-// core type so decision logic does not depend on obs headers.
-struct TrendAdvisory {
-  bool slo_burning = false;
-  bool anomaly = false;
-  std::string note;
-};
-
 // Why the planner chose what it chose: the capacity inputs it saw and the
 // alternatives it considered but rejected, for the flight recorder. Filled
 // only when a non-null explain is passed — the planning hot path pays

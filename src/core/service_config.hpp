@@ -29,9 +29,6 @@ struct ServiceConfig {
   // Dial/request retry schedule. max_attempts=1 reproduces the historic
   // fail-fast behaviour; raise it to ride out transient link loss.
   RetryPolicy retry{.max_attempts = 1};
-  // How often a service re-asserts liveness (registry heartbeats, load
-  // reports used as data-plane heartbeats), seconds.
-  double heartbeat_interval = 0.5;
   // Lease a peer holds before it is declared failed; 0 disables lease
   // expiry (back-compat: seed behaviour had no failure detection).
   double lease_seconds = 0.0;

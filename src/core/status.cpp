@@ -26,10 +26,10 @@ HealthState health_state_from(const std::string& name) {
 }  // namespace
 
 void register_status_endpoint(services::ServiceContainer& container, const std::string& host,
-                              DataService* data, RenderService* render, HealthReportFn health) {
+                              DataService* data, RenderService* render, obs::AdvisorFn advisor) {
   container.register_method(
       "status", "report",
-      [&container, host, data, render, health](const SoapList&) -> Result<SoapValue> {
+      [&container, host, data, render, advisor](const SoapList&) -> Result<SoapValue> {
         SoapStruct out;
         out["host"] = host;
         out["hasDataService"] = data != nullptr;
@@ -37,8 +37,8 @@ void register_status_endpoint(services::ServiceContainer& container, const std::
         const services::ContainerStats stats = container.stats();
         out["soapCalls"] = static_cast<int64_t>(stats.calls_served);
         out["soapFaults"] = static_cast<int64_t>(stats.faults);
-        if (health) {
-          const HealthVerdict verdict = health();
+        if (advisor) {
+          const HealthVerdict verdict = advisor(host).health;
           out["healthState"] = std::string(to_string(verdict.state));
           if (!verdict.reason.empty()) out["healthReason"] = verdict.reason;
         }
@@ -136,38 +136,6 @@ void register_status_endpoint(services::ServiceContainer& container, const std::
   container.register_method("status", "flight", [](const SoapList&) -> Result<SoapValue> {
     return SoapValue{obs::FlightRecorder::global().export_events()};
   });
-
-  // The canary verdict for this host's render service. Always registered:
-  // an unwired host answers "unknown", so pollers need no special case.
-  container.register_method("status", "health",
-                            [host, health](const SoapList&) -> Result<SoapValue> {
-                              HealthVerdict verdict;
-                              if (health) verdict = health();
-                              SoapStruct out;
-                              out["host"] = verdict.host.empty() ? host : verdict.host;
-                              out["state"] = std::string(to_string(verdict.state));
-                              out["reason"] = verdict.reason;
-                              out["framesOk"] = static_cast<int64_t>(verdict.frames_ok);
-                              out["framesLate"] = static_cast<int64_t>(verdict.frames_late);
-                              out["framesFailed"] = static_cast<int64_t>(verdict.frames_failed);
-                              out["joinSeconds"] = verdict.join_seconds;
-                              out["lastFrameAge"] = verdict.last_frame_age;
-                              return SoapValue{std::move(out)};
-                            });
-}
-
-Result<HealthVerdict> parse_health_report(const SoapValue& value) {
-  if (value.as_struct() == nullptr) return util::make_error("health: not a struct");
-  HealthVerdict verdict;
-  verdict.host = value.field("host").as_string();
-  verdict.state = health_state_from(value.field("state").as_string());
-  verdict.reason = value.field("reason").as_string();
-  verdict.frames_ok = static_cast<uint64_t>(value.field("framesOk").as_int());
-  verdict.frames_late = static_cast<uint64_t>(value.field("framesLate").as_int());
-  verdict.frames_failed = static_cast<uint64_t>(value.field("framesFailed").as_int());
-  verdict.join_seconds = value.field("joinSeconds").as_double();
-  verdict.last_frame_age = value.field("lastFrameAge").as_double();
-  return verdict;
 }
 
 Result<HostStatus> parse_host_status(const SoapValue& value) {

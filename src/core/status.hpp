@@ -6,7 +6,6 @@
 // for a whole deployment.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,24 +92,19 @@ struct HostStatus {
   std::string last_migration;
 };
 
-// Blackbox health source for one host, wired by the grid when the health
-// plane is enabled; called at status time so late-created canaries work.
-using HealthReportFn = std::function<obs::HealthVerdict()>;
-
 // Register the "status" endpoint on a host's container, reporting on the
-// given services (either may be null). Besides "report" this also exposes
-// "metrics" (the process-wide registry as Prometheus text exposition),
-// "flight" (the flight-recorder export the timeline collector pulls), and
-// "health" (the canary verdict from `health`, unknown when unset).
+// given services (either may be null). The "report" carries `advisor`'s
+// health verdict for `host` (asked at report time, so a canary created
+// later still answers; no health fields when empty). Besides "report"
+// this also exposes "metrics" (the process-wide registry as Prometheus
+// text exposition) and "flight" (the flight-recorder export the
+// collector pulls).
 void register_status_endpoint(services::ServiceContainer& container, const std::string& host,
                               DataService* data, RenderService* render,
-                              HealthReportFn health = {});
+                              obs::AdvisorFn advisor);
 
 // Decode a status endpoint reply.
 util::Result<HostStatus> parse_host_status(const services::SoapValue& value);
-
-// Decode a "health" method reply.
-util::Result<obs::HealthVerdict> parse_health_report(const services::SoapValue& value);
 
 // Render a fleet of host statuses as the operator dashboard text.
 std::string format_dashboard(const std::vector<HostStatus>& hosts);

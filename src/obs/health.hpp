@@ -1,10 +1,13 @@
-// Health states for the canary-driven failure detector. Dependency-free
-// (rave_util only) so the whole stack can speak it: the canary produces
-// verdicts, the status "health" SOAP method publishes them, DataService
-// consumes them for pre-lease eviction, and plan_migration takes them as
-// an advisory input.
+// What the grid's planes advise about one host. Dependency-free (standard
+// library only) so the whole stack can speak it: the canary produces
+// health verdicts and the SLO engine trend advisories; the grid bundles
+// both into one per-host advisor (HostAdvisory / AdvisorFn) that
+// DataService consults for pre-lease eviction and migration-planning
+// inputs, and the status "report" publishes as its health fields.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 namespace rave::obs {
@@ -39,5 +42,23 @@ struct HealthVerdict {
   double join_seconds = -1;     // join-to-first-frame; -1 until measured
   double last_frame_age = -1;   // publish→deliver age of the last frame; -1 = none
 };
+
+// Trend advisory consumed by migration planning: true flags mean the
+// telemetry plane sees sustained trouble the instant EWMA cannot.
+struct TrendAdvisory {
+  bool slo_burning = false;  // some objective is Burning or Violated
+  bool anomaly = false;      // some watched metric step-changed
+  std::string note;          // why, for MigrationExplain
+};
+
+// Everything the planes currently say about one host; a plane that is not
+// enabled contributes its default (no trend flags, Unknown health).
+struct HostAdvisory {
+  TrendAdvisory trend;
+  HealthVerdict health;
+};
+
+// Per-host advice, evaluated at call time.
+using AdvisorFn = std::function<HostAdvisory(const std::string& host)>;
 
 }  // namespace rave::obs

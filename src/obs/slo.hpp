@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/health.hpp"
 #include "obs/timeseries.hpp"
 
 namespace rave::obs {
@@ -57,14 +58,6 @@ struct SloStatus {
 };
 
 const char* to_string(SloStatus::State state);
-
-// Trend advisory consumed by migration planning: true flags mean the
-// telemetry plane sees sustained trouble the instant EWMA cannot.
-struct TrendAdvisory {
-  bool slo_burning = false;  // some objective is Burning or Violated
-  bool anomaly = false;      // some watched metric step-changed
-  std::string note;          // why, for MigrationExplain
-};
 
 class SloEngine {
  public:

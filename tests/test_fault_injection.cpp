@@ -505,16 +505,16 @@ TEST_F(FaultFixture, CanaryVerdictEvictsBeforeLeaseExpiry) {
 
   // The blackbox canary declares `hung` Unhealthy (stand-in for two
   // consecutive failed stream probes); everyone else looks fine.
-  data.set_health_advisor([](const std::string& host) {
-    obs::HealthVerdict verdict;
-    verdict.host = host;
+  data.set_advisor([](const std::string& host) {
+    obs::HostAdvisory advice;
+    advice.health.host = host;
     if (host == "hung") {
-      verdict.state = obs::HealthState::Unhealthy;
-      verdict.reason = "2 consecutive probe failures, last: frame stream: timed out";
+      advice.health.state = obs::HealthState::Unhealthy;
+      advice.health.reason = "2 consecutive probe failures, last: frame stream: timed out";
     } else {
-      verdict.state = obs::HealthState::Healthy;
+      advice.health.state = obs::HealthState::Healthy;
     }
-    return verdict;
+    return advice;
   });
 
   Camera cam;

@@ -1,9 +1,13 @@
 // RaveGrid assembly tests: discovery through the UDDI registry, SOAP
-// control plane, recruitment, and the fig. 4 registry browser.
+// control plane, recruitment, the fig. 4 registry browser, and the grid's
+// per-host advisor reaching its data services.
 #include <gtest/gtest.h>
 
 #include "core/grid.hpp"
 #include "mesh/primitives.hpp"
+#include "obs/event.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 
 namespace rave::core {
 namespace {
@@ -186,6 +190,98 @@ TEST(Grid, MigrationRecruitsThroughRegistry) {
   // The strong host has been recruited into the session.
   EXPECT_EQ(data.subscribers("big").size(), 2u);
   EXPECT_TRUE(grid.render_service("strong")->bootstrapped("big"));
+}
+
+// Both planes advise through the one per-host advisor, whichever was set
+// up first: the data service or the planes. The telemetry half is a real
+// SLO engine with an fps objective no host can meet (so the laptop burns
+// as soon as two scrapes of its frame count exist); the health half is a
+// real canary whose laptop probes never see a frame.
+void expect_advice_reaches_data_service(bool planes_first) {
+  obs::MetricsRegistry::global().reset_values();
+  obs::FlightRecorder::global().clear();
+  util::SimClock clock;
+  obs::set_clock(&clock);
+  {
+    RaveGrid grid(clock, net::ethernet_100mbit());
+    const auto enable_planes = [&grid] {
+      obs::SloSpec fps;
+      fps.name = "fps";
+      fps.metric = "rave_frame_seconds_count";
+      fps.labels = "{host=\"laptop\"}";
+      fps.kind = obs::SloSpec::Kind::RateAtLeast;
+      fps.threshold = 1e6;
+      grid.enable_telemetry({fps});
+      obs::Canary::Options canary;
+      canary.frame_timeout = 0.25;
+      canary.unhealthy_after = 2;
+      canary.qualities = {compress::QualityClass::Workstation};
+      grid.enable_health_plane(canary);
+    };
+    if (planes_first) enable_planes();
+    DataService::Options options;
+    options.lease_seconds = 60;
+    DataService& data = grid.add_data_service("datahost", options);
+    if (!planes_first) enable_planes();
+
+    SceneTree tree;
+    tree.add_child(kRootNode, "a", mesh::make_uv_sphere(0.5f, 24, 18));
+    tree.add_child(kRootNode, "b", mesh::make_uv_sphere(0.4f, 20, 16));
+    tree.add_child(kRootNode, "c", mesh::make_uv_sphere(0.3f, 16, 12));
+    ASSERT_TRUE(data.create_session("demo", std::move(tree)).ok());
+    RenderService::Options equal;
+    equal.profile = sim::centrino_laptop();
+    grid.add_render_service("laptop", equal);
+    grid.add_render_service("helper", equal);
+    ASSERT_TRUE(grid.join("laptop", "datahost", "demo").ok());
+    ASSERT_TRUE(grid.join("helper", "datahost", "demo").ok());
+    ASSERT_TRUE(data.distribute("demo").ok());
+    grid.pump_until_idle();
+
+    // Telemetry: the laptop renders, the collector scrapes once a second,
+    // the engine flags the burn and the data service plans on it.
+    scene::Camera cam;
+    cam.eye = {0, 0, 4};
+    for (int i = 0; i < 8 && data.last_plan_summary("demo").find("slo-burn") == std::string::npos;
+         ++i) {
+      (void)grid.render_service("laptop")->render_console("demo", cam, 32, 32);
+      clock.advance(1.0);
+      grid.pump_all();
+      grid.pump_all();
+    }
+    EXPECT_NE(data.last_plan_summary("demo").find("slo-burn"), std::string::npos)
+        << data.last_plan_summary("demo");
+
+    // Health: the helper's stream publishes, the laptop's stays quiet for
+    // two probe rounds, so only the laptop turns Unhealthy and is evicted
+    // on the next pump, long before its 60 s lease.
+    grid.watch_streams("demo");
+    const auto pump = [&grid] { grid.pump_all(); };
+    (void)grid.canary()->probe_all(pump);
+    (void)grid.render_service("helper")->publish_stream_frame("demo", cam, 64, 48);
+    grid.pump_all();
+    (void)grid.canary()->probe_all(pump);
+    ASSERT_EQ(grid.canary()->verdict("laptop").state, obs::HealthState::Unhealthy);
+    ASSERT_EQ(grid.canary()->verdict("helper").state, obs::HealthState::Healthy);
+    grid.pump_all();
+    EXPECT_EQ(data.stats().canary_evictions, 1u);
+    EXPECT_EQ(data.stats().lease_expiries, 0u);
+    const auto views = data.subscribers("demo");
+    ASSERT_EQ(views.size(), 1u);
+    EXPECT_EQ(views[0].host, "helper");
+  }
+  obs::set_clock(nullptr);
+}
+
+TEST(Grid, AdvisorReachesDataServicesAddedBeforeAndAfterEitherPlane) {
+  {
+    SCOPED_TRACE("data service added before the planes");
+    expect_advice_reaches_data_service(/*planes_first=*/false);
+  }
+  {
+    SCOPED_TRACE("data service added after the planes");
+    expect_advice_reaches_data_service(/*planes_first=*/true);
+  }
 }
 
 }  // namespace

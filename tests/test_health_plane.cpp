@@ -2,8 +2,9 @@
 // export/decode round trip, the central collector's cross-host timeline
 // (causal merge order, dedup, gap semantics, byte stability under
 // SimClock, one visit per host per interval), the blackbox canary state
-// machine against a real grid stream, and the status "health" SOAP round
-// trip. Everything runs under virtual time.
+// machine against a real grid stream, with its verdict read back from the
+// host's status report and metrics scrape. Everything runs under virtual
+// time.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +20,7 @@
 #include "obs/hlc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "obs/timeseries.hpp"
 
 namespace rave::obs {
 namespace {
@@ -235,8 +237,7 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     grid.watch_streams("demo");
     ASSERT_EQ(grid.canary()->probe_count(), 1u);
 
-    // Before any probe completes, the host's verdict — and the status
-    // "health" SOAP answer — is Unknown.
+    // Before any probe completes, the host's verdict is Unknown.
     EXPECT_EQ(grid.canary()->verdict("laptop").state, obs::HealthState::Unknown);
 
     const auto pump = [&grid] { grid.pump_all(); };
@@ -255,18 +256,28 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     EXPECT_GE(verdict.join_seconds, 0.0);
     EXPECT_GE(verdict.last_frame_age, 0.0);
 
-    // The host's status endpoint serves the same verdict over SOAP.
+    // The host's status report carries the same verdict over SOAP…
+    const HostStatus* laptop = nullptr;
+    const std::vector<HostStatus> statuses = grid.collect_status();
+    for (const HostStatus& status : statuses)
+      if (status.host == "laptop") laptop = &status;
+    ASSERT_NE(laptop, nullptr);
+    EXPECT_EQ(laptop->health_state, obs::HealthState::Healthy);
+    EXPECT_EQ(laptop->health_reason, verdict.reason);
+    // …and its metrics scrape counts the same on-time frames.
     services::SoapCall call;
     call.service = "status";
-    call.method = "health";
+    call.method = "metrics";
     call.call_id = 1;
     const services::SoapResponse response = grid.container("laptop")->dispatch(call);
     ASSERT_FALSE(response.is_fault) << response.fault_message;
-    const auto parsed = parse_health_report(response.result);
-    ASSERT_TRUE(parsed.ok()) << parsed.error();
-    EXPECT_EQ(parsed.value().host, "laptop");
-    EXPECT_EQ(parsed.value().state, obs::HealthState::Healthy);
-    EXPECT_EQ(parsed.value().frames_ok, verdict.frames_ok);
+    double scraped_ok = -1;
+    for (const obs::ParsedSample& sample : obs::parse_prometheus(response.result.as_string()))
+      if (sample.name == "rave_canary_frames_total" &&
+          sample.labels.find("host=\"laptop\"") != std::string::npos &&
+          sample.labels.find("result=\"ok\"") != std::string::npos)
+        scraped_ok = sample.value;
+    EXPECT_EQ(scraped_ok, static_cast<double>(verdict.frames_ok));
 
     // The stream goes quiet: two consecutive probe timeouts escalate to
     // Unhealthy, and the dashboard shows it.

@@ -678,17 +678,16 @@ TEST(TelemetryGrid, AdvisorTriggersRebalanceAndExplainsThroughStatus) {
     grid.enable_telemetry();
     grid.pump_until_idle();
 
-    // Synthetic telemetry judgement (overrides the SLO-engine advisor
-    // enable_telemetry wired in): the laptop's frame p99 is burning.
-    // No load report has tripped any EWMA flag, so without the advisor
-    // this pump round would plan nothing.
-    data.set_trend_advisor([](const std::string& host) {
-      TrendAdvisory trend;
+    // Synthetic telemetry judgement (overrides the grid's advisor): the
+    // laptop's frame p99 is burning. No load report has tripped any EWMA
+    // flag, so without the advisor this pump round would plan nothing.
+    data.set_advisor([](const std::string& host) {
+      obs::HostAdvisory advice;
       if (host == "laptop") {
-        trend.slo_burning = true;
-        trend.note = "frame_p99 host=laptop: BURNING value=0.08 bound=0.066";
+        advice.trend.slo_burning = true;
+        advice.trend.note = "frame_p99 host=laptop: BURNING value=0.08 bound=0.066";
       }
-      return trend;
+      return advice;
     });
     const uint64_t before = data.stats().rebalances;
     clock.advance(1.0);
