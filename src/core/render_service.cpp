@@ -389,6 +389,8 @@ render::FrameBuffer RenderService::render_local(Replica& replica, const Camera& 
   for (size_t i = 0; i < per_volume.size(); ++i)
     node_rays.emplace_back(list.volumes[i].node, per_volume[i].rays_cast);
 
+  // One charge per frame: the render list's triangles (this rasterizer's
+  // submitted count) and the pixels of the region actually rendered.
   const uint64_t tris = raster.stats().triangles_submitted;
   const uint64_t pixels = region.width > 0
                               ? region.pixel_count()
@@ -402,17 +404,11 @@ void RenderService::account_frame(Replica& replica, uint64_t triangles, uint64_t
                                   std::vector<std::pair<scene::NodeId, uint64_t>> node_rays) {
   const double volume_seconds =
       sim::volume_march_seconds(options_.profile, volume.rays_cast, volume.volume_samples);
-  double frame_seconds;
-  if (options_.simulate_timing) {
-    frame_seconds =
-        sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
-    clock_->sleep_for(frame_seconds);
-  } else {
-    // Real time: approximate with the modelled cost when the clock has no
-    // better source (the rasterizer is not the 2004 hardware).
-    frame_seconds =
-        sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
-  }
+  // The modelled cost stands in for a measurement either way (the
+  // rasterizer is not the 2004 hardware); only a simulated service spends it.
+  const double frame_seconds =
+      sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
+  if (options_.simulate_timing) clock_->sleep_for(frame_seconds);
   last_frame_seconds_ = frame_seconds;
   ++stats_.frames_rendered;
   stats_.volume_rays += volume.rays_cast;
@@ -457,6 +453,9 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
   Replica* replica = find_replica(session);
   if (replica == nullptr || !replica->ready)
     return make_error("render: session not bootstrapped: " + session);
+  // The size can come from a client's frame request; split_tiles has no
+  // slot to give an empty frame.
+  if (width <= 0 || height <= 0) return make_error("render: empty frame size");
 
   // Failure detection before dispatch: drop assistants whose channel died
   // or whose pending tile timed out. The tile split below is recomputed
@@ -469,6 +468,16 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
     return render_local(*replica, camera, width, height, render::Tile{0, 0, width, height});
 
   const uint64_t generation = replica->generation;
+  const render::Tile full{0, 0, width, height};
+  // Tile mode: slot 0 is ours, slot i + 1 belongs to remote i. Subset
+  // compositing sends every peer the whole frame.
+  const std::vector<render::Tile> slots =
+      replica->tile_mode
+          ? render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1)
+          : std::vector<render::Tile>{};
+  const auto slot_of = [&](size_t i) {
+    return replica->tile_mode ? slots[std::min(i + 1, slots.size() - 1)] : full;
+  };
   // Dispatch fresh requests for this camera/generation.
   for (size_t i = 0; i < replica->remotes.size(); ++i) {
     RemoteTile& remote = replica->remotes[i];
@@ -479,13 +488,7 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
     assign.frame_width = width;
     assign.frame_height = height;
     assign.generation = generation;
-    if (replica->tile_mode) {
-      const auto tiles =
-          render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1);
-      assign.tile = tiles[std::min(i + 1, tiles.size() - 1)];
-    } else {
-      assign.tile = render::Tile{0, 0, width, height};
-    }
+    assign.tile = slot_of(i);
     net::Message assign_wire = encode(assign);
     stamp_trace(assign_wire);
     const Status sent = remote.channel->send(std::move(assign_wire));
@@ -498,15 +501,25 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
     remote.dispatched_at = clock_->now();
   }
 
-  // Local portion.
-  render::Tile local_region{0, 0, width, height};
+  // Local portion: in tile mode, one pass over the bounding rectangle of our
+  // slot and every slot no cached result covers — the remote has none yet
+  // (bootstrap), or its tile is from an earlier split (a peer was pruned).
+  // Cached results are inserted over it below as before, so no pixel is
+  // left unrendered.
+  render::Tile local_region = full;
   if (replica->tile_mode) {
-    const auto tiles =
-        render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1);
-    local_region = tiles[0];
+    local_region = slots[0];
+    for (size_t i = 0; i < replica->remotes.size(); ++i) {
+      const RemoteTile& remote = replica->remotes[i];
+      const render::Tile slot = slot_of(i);
+      if (remote.valid && remote.tile == slot) continue;
+      const int x0 = std::min(local_region.x, slot.x);
+      const int y0 = std::min(local_region.y, slot.y);
+      local_region = render::Tile{x0, y0, std::max(local_region.right(), slot.right()) - x0,
+                                  std::max(local_region.bottom(), slot.bottom()) - y0};
+    }
   }
-  render::FrameBuffer frame =
-      render_local(*replica, camera, width, height, render::Tile{0, 0, width, height});
+  render::FrameBuffer frame = render_local(*replica, camera, width, height, local_region);
   obs::ScopedSpan composite_span("composite", options_.profile.name);
   if (replica->tile_mode) {
     // Keep only the locally-owned tile; peer tiles overwrite the rest, or

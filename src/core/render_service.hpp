@@ -107,6 +107,8 @@ class RenderService {
   // Distributed rendering: local portion plus best-effort composition of
   // the latest peer results; fresh peer requests are dispatched for the
   // next frame ("local and remote simply rendering best effort", §5.5).
+  // In tile mode the local portion is this service's tile plus every tile
+  // no cached peer result covers at its current slot.
   util::Result<render::FrameBuffer> render_distributed(const std::string& session,
                                                        const scene::Camera& camera, int width,
                                                        int height);

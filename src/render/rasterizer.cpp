@@ -600,7 +600,9 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
 
   // Clip and set up the triangles of [t_begin, t_end) in submission order,
   // handing survivors to `sink`. `rasterized` counts area-passing
-  // triangles (the previous immediate-mode counter).
+  // triangles (the previous immediate-mode counter) whether or not they
+  // touch the region; only those whose pixel bbox meets it reach `sink`,
+  // so a tile bins just the triangles that can shade one of its pixels.
   const auto process_triangles = [&](size_t t_begin, size_t t_end, uint64_t& rasterized,
                                      const auto& sink) {
     const auto submit = [&](const ShadedVertex& a, const ShadedVertex& b,
@@ -608,7 +610,9 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
       ScreenTriangle tri;
       if (!setup_triangle(a, b, c, fb_.width(), fb_.height(), tri)) return;
       ++rasterized;
-      if (tri.x0 <= tri.x1 && tri.y0 <= tri.y1) sink(tri);
+      if (std::max(tri.x0, region.x) <= std::min(tri.x1, region.right() - 1) &&
+          std::max(tri.y0, region.y) <= std::min(tri.y1, region.bottom() - 1))
+        sink(tri);
     };
     for (size_t t = t_begin * 3; t + 2 < mesh.indices.size() && t < t_end * 3; t += 3) {
       const ShadedVertex* v[3] = {&shaded[mesh.indices[t]], &shaded[mesh.indices[t + 1]],
@@ -751,8 +755,9 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
     s.r = to_byte(color.x);
     s.g = to_byte(color.y);
     s.b = to_byte(color.z);
-    return s.x + radius >= 0 && s.x - radius < fb_.width() && s.y + radius >= 0 &&
-           s.y - radius < fb_.height();
+    // Splats that cannot touch the region never reach the bin list.
+    return s.x + radius >= region.x && s.x - radius < region.right() &&
+           s.y + radius >= region.y && s.y - radius < region.bottom();
   };
 
   if (options.pool == nullptr) {

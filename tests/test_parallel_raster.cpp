@@ -10,10 +10,12 @@
 #include <cmath>
 #include <string>
 
+#include "mesh/generators.hpp"
 #include "mesh/primitives.hpp"
 #include "render/compositor.hpp"
 #include "render/rasterizer.hpp"
 #include "scene/camera.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rave::render {
@@ -118,6 +120,64 @@ TEST(ParallelRaster, PartialRegionMatchesSerialAndFullFrame) {
   const FrameBuffer cut = full.extract(region);
   const FrameBuffer cut_parallel = parallel.framebuffer().extract(region);
   expect_identical(cut, cut_parallel, "region vs full frame");
+}
+
+TEST(ParallelRaster, ElleTilesMatchTheFullFrameAtEveryLevelAndThreadCount) {
+  // A tile draw drops triangles whose pixel bbox misses its region before
+  // binning. That may change no pixel inside the region, and every
+  // counter keeps its per-call meaning: submitted and rasterized count the
+  // whole mesh, pixels_shaded the z-pass writes inside the region.
+  SceneTree tree;
+  const scene::NodeId node = tree.add_child(scene::kRootNode, "elle", mesh::make_elle());
+  const scene::MeshData& elle = std::get<scene::MeshData>(tree.find(node)->payload);
+  const Camera cam = Camera::framing(tree.world_bounds());
+  constexpr int kW = 640, kH = 480;
+  const std::vector<Tile> tiles = split_tiles(kW, kH, 4);
+  ASSERT_EQ(tiles.size(), 4u);
+
+  const util::SimdLevel saved = util::active_simd_level();
+  util::set_simd_level(util::SimdLevel::Scalar);
+  Rasterizer reference(kW, kH);
+  reference.clear();
+  reference.draw_mesh(elle, util::Mat4::identity(), cam);
+  const RenderStats& full = reference.stats();
+  ASSERT_GT(full.pixels_shaded, 0u);
+
+  for (const util::SimdLevel level : {util::SimdLevel::Scalar, util::SimdLevel::Sse2,
+                                      util::SimdLevel::Avx2, util::SimdLevel::Neon}) {
+    util::set_simd_level(level);
+    if (util::active_simd_level() != level) continue;  // not available here
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      uint64_t tile_pixels = 0;
+      for (const Tile& tile : tiles) {
+        const std::string what = std::string(util::simd_level_name(level)) + ", " +
+                                 std::to_string(threads) + " threads, tile at " +
+                                 std::to_string(tile.x) + "," + std::to_string(tile.y);
+        RenderOptions opts;
+        opts.region = tile;
+        Rasterizer serial(kW, kH);
+        serial.clear(opts);
+        serial.draw_mesh(elle, util::Mat4::identity(), cam, opts);
+        opts.pool = &pool;
+        Rasterizer pooled(kW, kH);
+        pooled.clear(opts);
+        pooled.draw_mesh(elle, util::Mat4::identity(), cam, opts);
+
+        expect_identical(reference.framebuffer().extract(tile),
+                         pooled.framebuffer().extract(tile), what);
+        EXPECT_EQ(pooled.stats().triangles_submitted, full.triangles_submitted) << what;
+        EXPECT_EQ(pooled.stats().triangles_rasterized, full.triangles_rasterized) << what;
+        EXPECT_EQ(pooled.stats().pixels_shaded, serial.stats().pixels_shaded) << what;
+        tile_pixels += pooled.stats().pixels_shaded;
+      }
+      // The tiles partition the frame, so their z-pass writes add up to
+      // the full frame's.
+      EXPECT_EQ(tile_pixels, full.pixels_shaded)
+          << util::simd_level_name(level) << ", " << threads << " threads";
+    }
+  }
+  util::set_simd_level(saved);
 }
 
 TEST(ParallelRaster, DepthCompositeWithPoolMatchesSerial) {

@@ -8,8 +8,12 @@
 #include "core/fabric.hpp"
 #include "core/render_service.hpp"
 #include "core/thin_client.hpp"
+#include "mesh/fields.hpp"
 #include "mesh/primitives.hpp"
+#include "render/raycast.hpp"
+#include "render/render_list.hpp"
 #include "scene/serialize.hpp"
+#include "sim/fault.hpp"
 
 namespace rave::core {
 namespace {
@@ -22,6 +26,35 @@ scene::MeshData colored_sphere(const util::Vec3& color, int detail = 16) {
   scene::MeshData mesh = mesh::make_uv_sphere(0.8f, detail, detail * 3 / 4);
   mesh.base_color = color;
   return mesh;
+}
+
+// A voxel volume that fills the view of fog_camera(): every pixel's ray
+// enters it, so a render's ray count measures the pixels it covered.
+SceneTree fog_tree() {
+  SceneTree tree;
+  scene::Aabb bounds;
+  bounds.extend({-1.5f, -1.5f, -1.5f});
+  bounds.extend({1.5f, 1.5f, 1.5f});
+  tree.add_child(kRootNode, "fog",
+                 mesh::rasterize_field(mesh::ball_field({0, 0, 0}, 1.4f), bounds, 16, 16, 16));
+  return tree;
+}
+
+Camera fog_camera() {
+  Camera cam;
+  cam.eye = {0, 0.3f, 2.5f};
+  return cam;
+}
+
+// Rays a render of `region` casts into `tree`'s volumes.
+uint64_t rays_in(const SceneTree& tree, const Camera& cam, int width, int height,
+                 const render::Tile& region) {
+  render::FrameBuffer fb(width, height);
+  const render::RenderList list =
+      render::build_render_list(tree, cam, static_cast<float>(width) / static_cast<float>(height));
+  render::RaycastOptions options;
+  options.region = region;
+  return render::raycast_list(fb, list, cam, options).rays_cast;
 }
 
 class RaveFixture : public testing::Test {
@@ -274,6 +307,104 @@ TEST_F(RaveFixture, TileAssistViaDataService) {
   auto reference = main.render_console("demo", cam, 64, 64);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(frame.value().color(), reference.value().color());
+}
+
+TEST_F(RaveFixture, TileAssistRendersOnlyUncoveredSlotsLocally) {
+  ASSERT_TRUE(data_.create_session("demo", fog_tree()).ok());
+  RenderService& main = add_render("main");
+  RenderService& helper = add_render("helper");
+  ASSERT_TRUE(main.connect_session(data_ap_, "demo").ok());
+  ASSERT_TRUE(helper.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  ASSERT_TRUE(main.enable_tile_assist("demo", {helper.peer_access_point()}).ok());
+
+  constexpr int kW = 64, kH = 48;
+  const Camera cam = fog_camera();
+  const SceneTree& replica = *main.replica("demo");
+  const render::Tile own = render::split_tiles(kW, kH, 2)[0];
+  const uint64_t full_rays = rays_in(replica, cam, kW, kH, {0, 0, kW, kH});
+  const uint64_t own_rays = rays_in(replica, cam, kW, kH, own);
+  ASSERT_GT(own_rays, 0u);
+  ASSERT_LT(own_rays, full_rays);
+
+  // No result cached yet: the local pass covers the assistant's slot too.
+  uint64_t rays = main.stats().volume_rays;
+  ASSERT_TRUE(main.render_distributed("demo", cam, kW, kH).ok());
+  EXPECT_EQ(main.stats().volume_rays - rays, full_rays);
+  EXPECT_EQ(main.stats().locally_covered_tiles, 1u);
+
+  // The assistant's tile now sits at its slot: only slot 0 is cast locally.
+  pump_all();
+  rays = main.stats().volume_rays;
+  auto frame = main.render_distributed("demo", cam, kW, kH);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(main.stats().volume_rays - rays, own_rays);
+  EXPECT_EQ(main.stats().locally_covered_tiles, 1u);
+  EXPECT_EQ(main.stats().remote_tiles_used, 1u);
+
+  auto reference = main.render_console("demo", cam, kW, kH);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(frame.value().color(), reference.value().color());
+  EXPECT_EQ(frame.value().depth(), reference.value().depth());
+  // A frame request's size is client input; an empty one has no slots.
+  EXPECT_FALSE(main.render_distributed("demo", cam, 0, kH).ok());
+  EXPECT_FALSE(main.render_distributed("demo", cam, kW, -1).ok());
+}
+
+TEST_F(RaveFixture, TileFromAnEarlierSplitDoesNotCoverANewSlot) {
+  ASSERT_TRUE(data_.create_session("demo", fog_tree()).ok());
+  RenderService& main = add_render("main");
+  RenderService& keeper = add_render("keeper");
+  RenderService& victim = add_render("victim");
+  for (RenderService* r : {&main, &keeper, &victim})
+    ASSERT_TRUE(r->connect_session(data_ap_, "demo").ok());
+  pump_all();
+  // Main's tile channel to the victim runs through a kill switch.
+  auto ks = std::make_shared<sim::KillSwitch>();
+  fabric_.set_fault("victim/peer", [ks](net::ChannelPtr channel) {
+    return sim::wrap_faulty(std::move(channel), ks);
+  });
+  ASSERT_TRUE(main.enable_tile_assist(
+                      "demo", {keeper.peer_access_point(), victim.peer_access_point()})
+                  .ok());
+
+  constexpr int kW = 96, kH = 64;
+  const Camera cam = fog_camera();
+  const SceneTree& replica = *main.replica("demo");
+  const auto three = render::split_tiles(kW, kH, 3);
+  const auto two = render::split_tiles(kW, kH, 2);
+  // The keeper's slot moves when the split shrinks, and its old tile
+  // covers only part of the new one.
+  ASSERT_FALSE(three[1] == two[1]);
+  auto reference = main.render_console("demo", cam, kW, kH);
+  ASSERT_TRUE(reference.ok());
+
+  (void)main.render_distributed("demo", cam, kW, kH);
+  pump_all();
+  uint64_t rays = main.stats().volume_rays;
+  auto whole = main.render_distributed("demo", cam, kW, kH);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(main.stats().volume_rays - rays, rays_in(replica, cam, kW, kH, three[0]));
+  EXPECT_EQ(whole.value().color(), reference.value().color());
+
+  // The victim dies; the split shrinks to two. The keeper's cached tile
+  // is valid but from the old split, so the local pass covers slots 0
+  // and 1 — the whole frame here.
+  ks->kill();
+  rays = main.stats().volume_rays;
+  auto after_kill = main.render_distributed("demo", cam, kW, kH);
+  ASSERT_TRUE(after_kill.ok());
+  EXPECT_EQ(main.stats().peer_failures, 1u);
+  EXPECT_EQ(main.stats().volume_rays - rays, rays_in(replica, cam, kW, kH, {0, 0, kW, kH}));
+  EXPECT_EQ(after_kill.value().color(), reference.value().color());
+
+  // The keeper's next result is at its new slot.
+  pump_all();
+  rays = main.stats().volume_rays;
+  auto settled = main.render_distributed("demo", cam, kW, kH);
+  ASSERT_TRUE(settled.ok());
+  EXPECT_EQ(main.stats().volume_rays - rays, rays_in(replica, cam, kW, kH, two[0]));
+  EXPECT_EQ(settled.value().color(), reference.value().color());
 }
 
 TEST_F(RaveFixture, StalledAssistantProducesStaleTiles) {
