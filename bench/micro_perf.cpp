@@ -333,6 +333,28 @@ scene::VoxelGridData raycast_bench_grid(bool dense) {
   return grid;
 }
 
+// The end-to-end benchmark's orbit_render volume: the 48^3 body phantom
+// (852 of 110,592 voxels at or above iso_low), viewed at 640x480 from a
+// point on an orbit around it.
+scene::VoxelGridData raycast_body_grid() {
+  scene::Aabb bounds;
+  bounds.extend({-1.2f, -1.3f, -0.8f});
+  bounds.extend({1.2f, 1.3f, 0.8f});
+  auto grid = mesh::rasterize_field(mesh::body_field(), bounds, 48, 48, 48);
+  grid.iso_low = 0.25f;
+  grid.opacity_scale = 3.5f;
+  grid.color_low = {0.25f, 0.25f, 0.85f};
+  grid.color_high = {1.0f, 0.95f, 0.85f};
+  return grid;
+}
+
+scene::Camera raycast_body_camera() {
+  scene::Camera cam;
+  cam.eye = {2.2f, 0.4f, 2.6f};
+  cam.target = {0.0f, 0.0f, 0.0f};
+  return cam;
+}
+
 void BM_RaycastSeed(benchmark::State& state) {
   const bool dense = state.range(0) != 0;
   const scene::VoxelGridData grid = raycast_bench_grid(dense);
@@ -349,22 +371,27 @@ void BM_RaycastSeed(benchmark::State& state) {
 BENCHMARK(BM_RaycastSeed)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Fast volume path (DESIGN.md): arg 0 = scenario (0 sparse — a small ball
-// in a mostly-empty 64³ grid, the empty-space-skipping headline; 1 dense —
-// a grid-filling ball, the honest worst case where every brick is
-// occupied), arg 1 = macro-cell skipping on/off, arg 2 = SIMD (0 scalar,
+// in a mostly-empty 64³ grid at 200x200, the empty-space-skipping
+// headline; 1 dense — a grid-filling ball, the honest worst case where
+// every brick is occupied; 2 body — the e2e orbit_render volume at
+// 640x480), arg 1 = macro-cell skipping on/off, arg 2 = SIMD (0 scalar,
 // 1 widest native), arg 3 = marcher threads (0 = serial). The brute scalar
 // serial arm is the pre-optimization marcher; BENCH_raycast.json compares
 // the others against it. Counters report measured marcher throughput —
 // the same rays/s currency the migration cost model prices volume nodes in.
 void BM_Raycast(benchmark::State& state) {
-  const bool dense = state.range(0) != 0;
+  const int64_t scenario = state.range(0);
+  const bool dense = scenario == 1;
+  const bool body = scenario == 2;
   const bool skip = state.range(1) != 0;
   const SimdArg simd(state.range(2));
   const int threads = static_cast<int>(state.range(3));
   scene::SceneTree tree;
-  tree.add_child(scene::kRootNode, "vol", raycast_bench_grid(dense));
+  tree.add_child(scene::kRootNode, "vol", body ? raycast_body_grid() : raycast_bench_grid(dense));
   scene::Camera cam;
   cam.eye = {0, 0, 3};
+  if (body) cam = raycast_body_camera();
+  const int width = body ? 640 : 200, height = body ? 480 : 200;
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(static_cast<unsigned>(threads));
   render::RaycastOptions opts;
@@ -372,7 +399,7 @@ void BM_Raycast(benchmark::State& state) {
   opts.pool = pool.get();
   render::RenderStats stats;
   for (auto _ : state) {
-    render::FrameBuffer fb(200, 200);
+    render::FrameBuffer fb(width, height);
     fb.clear({0, 0, 0});
     stats = render::raycast_tree_volumes(fb, tree, cam, opts);
     benchmark::DoNotOptimize(fb);
@@ -382,8 +409,9 @@ void BM_Raycast(benchmark::State& state) {
   state.counters["samples_per_frame"] =
       benchmark::Counter(static_cast<double>(stats.volume_samples));
   state.counters["bricks_skipped"] = benchmark::Counter(static_cast<double>(stats.bricks_skipped));
-  state.SetLabel(std::string(dense ? "dense" : "sparse") + " " + (skip ? "skip" : "brute") + " " +
-                 simd.label() + " " +
+  state.counters["rays_culled"] = benchmark::Counter(static_cast<double>(stats.rays_culled));
+  state.SetLabel(std::string(body ? "body" : dense ? "dense" : "sparse") + " " +
+                 (skip ? "skip" : "brute") + " " + simd.label() + " " +
                  (threads > 0 ? std::to_string(threads) + " threads" : "serial"));
 }
 BENCHMARK(BM_Raycast)
@@ -395,6 +423,8 @@ BENCHMARK(BM_Raycast)
     ->Args({1, 1, 0, 0})
     ->Args({1, 1, 1, 0})
     ->Args({1, 1, 1, 4})
+    ->Args({2, 1, 1, 0})  // e2e volume: the orbit_render tile casts' workload
+    ->Args({2, 1, 1, 2})
     ->Unit(benchmark::kMillisecond);
 
 // Observability overhead: a full Elle 400² frame with tracing disabled

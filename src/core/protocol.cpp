@@ -33,6 +33,10 @@ render::Tile read_tile(ByteReader& r) {
   t.height = r.i32();
   return t;
 }
+
+bool frame_size_ok(int width, int height) {
+  return width > 0 && height > 0 && width <= kMaxFrameSide && height <= kMaxFrameSide;
+}
 }  // namespace
 
 net::Message encode(const SubscribeRequest& m) {
@@ -214,6 +218,10 @@ Result<FrameRequest> decode_frame_request(const net::Message& msg) {
   out.allow_compression = r.boolean();
   out.request_id = r.u64();
   if (!r.ok()) return make_error("protocol: truncated frame request");
+  if (!frame_size_ok(out.width, out.height))
+    return make_error("protocol: frame request size " + std::to_string(out.width) + "x" +
+                      std::to_string(out.height) + " outside 1.." +
+                      std::to_string(kMaxFrameSide));
   return out;
 }
 
@@ -292,6 +300,13 @@ Result<TileAssignMsg> decode_tile_assign(const net::Message& msg) {
   out.frame_height = r.i32();
   out.generation = r.u64();
   if (!r.ok()) return make_error("protocol: truncated tile assign");
+  if (!frame_size_ok(out.frame_width, out.frame_height))
+    return make_error("protocol: tile assign frame size outside 1.." +
+                      std::to_string(kMaxFrameSide));
+  const render::Tile& t = out.tile;
+  if (t.x < 0 || t.y < 0 || t.width <= 0 || t.height <= 0 ||
+      t.x > out.frame_width - t.width || t.y > out.frame_height - t.height)
+    return make_error("protocol: tile assign tile outside its frame");
   return out;
 }
 

@@ -102,6 +102,12 @@ struct LoadReportMsg {
   std::vector<std::pair<scene::NodeId, uint64_t>> node_rays;
 };
 
+// Largest frame side, in pixels, a peer may name. A frame request or tile
+// assignment makes its receiver allocate a whole framebuffer of that size
+// (7 bytes a pixel), so both decoders refuse larger sides: 4096^2 is about
+// 117 MB, well above the paper's wall displays.
+constexpr int kMaxFrameSide = 4096;
+
 struct FrameRequest {
   scene::Camera camera;
   int width = 200, height = 200;

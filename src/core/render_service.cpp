@@ -227,7 +227,11 @@ size_t RenderService::pump_clients() {
         }
         case kMsgFrameRequest: {
           auto request = decode_frame_request(*msg);
-          if (request.ok()) serve_frame(*client, request.value(), trace_of(*msg));
+          if (!request.ok()) {
+            (void)client->channel->send(encode(RefusalMsg{request.error()}));
+            break;
+          }
+          serve_frame(*client, request.value(), trace_of(*msg));
           break;
         }
         case kMsgStreamSubscribe: {

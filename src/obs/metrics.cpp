@@ -183,6 +183,7 @@ const char* metric_help(std::string_view name) {
       {"rave_raster_triangles_rasterized_total", "Triangles actually rasterized"},
       {"rave_raster_triangles_submitted_total", "Triangles submitted to the rasterizer"},
       {"rave_raycast_bricks_skipped_total", "Macro-cell bricks skipped by the ray marcher"},
+      {"rave_raycast_rays_culled_total", "Volume rays left unmarched outside occupied space"},
       {"rave_raycast_rays_total", "Rays marched through volumes"},
       {"rave_raycast_samples_total", "Volume samples taken along rays"},
       {"rave_relay_upstream_errors_total", "Fan-out relay upstream connection errors"},

@@ -49,9 +49,12 @@ struct RenderStats {
   // samples — identical across SIMD levels and thread counts, like the
   // pixels. bricks_skipped counts macro-cell skip jumps taken, which vary
   // with the packet width (wider packets test bricks less often).
+  // rays_culled counts cast rays left unmarched because they miss the
+  // screen footprint of occupied space (a subset of rays_cast).
   uint64_t rays_cast = 0;
   uint64_t volume_samples = 0;
   uint64_t bricks_skipped = 0;
+  uint64_t rays_culled = 0;
 
   RenderStats& operator+=(const RenderStats& o) {
     triangles_submitted += o.triangles_submitted;
@@ -62,6 +65,7 @@ struct RenderStats {
     rays_cast += o.rays_cast;
     volume_samples += o.volume_samples;
     bricks_skipped += o.bricks_skipped;
+    rays_culled += o.rays_culled;
     return *this;
   }
 };

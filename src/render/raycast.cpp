@@ -553,9 +553,152 @@ void account_raycast(const RenderStats& st) {
   static obs::Counter& rays = reg.counter("rave_raycast_rays_total");
   static obs::Counter& samples = reg.counter("rave_raycast_samples_total");
   static obs::Counter& skipped = reg.counter("rave_raycast_bricks_skipped_total");
+  static obs::Counter& culled = reg.counter("rave_raycast_rays_culled_total");
   rays.inc(st.rays_cast);
   samples.inc(st.volume_samples);
   skipped.inc(st.bricks_skipped);
+  culled.inc(st.rays_culled);
+}
+
+// An inclusive fine-cell index range per axis.
+struct CellBox {
+  uint32_t lo[3];
+  uint32_t hi[3];
+};
+
+// Occupied space as fine-cell boxes, at most kMaxBoxesPerBrick per brick: a
+// brick with more occupied fine cells than that goes as one box around
+// them (a dense brick projects once, not 64 times); otherwise each
+// occupied fine cell is its own box.
+constexpr size_t kMaxBoxesPerBrick = 16;
+
+std::vector<CellBox> occupied_boxes(const MacroCells& cells, float iso_low) {
+  constexpr uint32_t kSpan = 1u << (MacroCells::kBrickShift - MacroCells::kFineShift);
+  const uint32_t nf[3] = {cells.fx, cells.fy, cells.fz};
+  std::vector<CellBox> boxes;
+  for (uint32_t bz = 0; bz < cells.bz; ++bz)
+    for (uint32_t by = 0; by < cells.by; ++by)
+      for (uint32_t bx = 0; bx < cells.bx; ++bx) {
+        if (cells.transparent(bx, by, bz, iso_low)) continue;
+        const uint32_t b[3] = {bx, by, bz};
+        uint32_t lo[3], hi[3];
+        for (int a = 0; a < 3; ++a) {
+          lo[a] = b[a] * kSpan;
+          hi[a] = std::min(lo[a] + kSpan, nf[a]) - 1;
+        }
+        CellBox around{{hi[0], hi[1], hi[2]}, {lo[0], lo[1], lo[2]}};
+        const size_t first = boxes.size();
+        for (uint32_t z = lo[2]; z <= hi[2]; ++z)
+          for (uint32_t y = lo[1]; y <= hi[1]; ++y)
+            for (uint32_t x = lo[0]; x <= hi[0]; ++x) {
+              if (cells.fine_transparent(x, y, z, iso_low)) continue;
+              const uint32_t c[3] = {x, y, z};
+              for (int a = 0; a < 3; ++a) {
+                around.lo[a] = std::min(around.lo[a], c[a]);
+                around.hi[a] = std::max(around.hi[a], c[a]);
+              }
+              boxes.push_back({{x, y, z}, {x, y, z}});
+            }
+        if (boxes.size() - first > kMaxBoxesPerBrick) {
+          boxes.resize(first);
+          boxes.push_back(around);
+        }
+      }
+  return boxes;
+}
+
+// Screen footprint of occupied space over `region`, as per-row coverage
+// deltas (region.height rows of region.width + 1 entries; a running sum
+// along a row is the number of footprint rectangles covering the pixel).
+// A ray through a pixel the footprint misses can only take samples in
+// transparent fine cells, so marching it cannot change a pixel. Empty
+// result = cull nothing.
+//
+// Each occupied box is made conservative before it is projected:
+//  - its sample-position box — base voxel in [2lo, 2hi+1], i.e. voxel
+//    coordinates [2lo + 0.5, 2hi + 2.5] — widens by a margin covering the
+//    float error of the marcher's sample positions;
+//  - a box on the grid's low border widens half a voxel further, out to
+//    the grid box, where clamped samples of box-clipped rays land (the
+//    high border's range already reaches past the grid box);
+//  - its rectangle spans the pixel centres its eight projected corners
+//    enclose, plus one pixel (a perspective map keeps a box in front of
+//    the eye convex, and a ray's samples project onto its pixel centre);
+//  - a box with any corner at clip.w <= epsilon reaches the eye plane and
+//    covers the whole region, and so does a non-finite projection.
+std::vector<int32_t> occupied_footprint(const VoxelGridData& grid, const MacroCells& cells,
+                                        const Mat4& local_to_clip, const Vec3& eye_local,
+                                        const Tile& region, int fb_width, int fb_height) {
+  const std::vector<CellBox> boxes = occupied_boxes(cells, grid.iso_low);
+  const size_t stride = static_cast<size_t>(region.width) + 1;
+  const size_t pixels = static_cast<size_t>(region.width) * static_cast<size_t>(region.height);
+  // Dense volumes: more boxes to project than rays the mask could save.
+  if (boxes.size() * 8 > pixels) return {};
+  std::vector<int32_t> delta(stride * static_cast<size_t>(region.height), 0);
+
+  const Vec3 s = grid.spacing;
+  const Vec3 extent{s.x * static_cast<float>(grid.nx), s.y * static_cast<float>(grid.ny),
+                    s.z * static_cast<float>(grid.nz)};
+  const float min_spacing = std::min({std::fabs(s.x), std::fabs(s.y), std::fabs(s.z)});
+  // Sample positions are float sums of eye, direction * t and the grid
+  // origin, each off by a few ulps of the largest magnitude involved.
+  const float scale = eye_local.length() + grid.origin.length() + extent.length();
+  const float margin =
+      0.0625f + 64.0f * std::numeric_limits<float>::epsilon() * scale / min_spacing;
+  const float half_w = 0.5f * static_cast<float>(fb_width);
+  const float half_h = 0.5f * static_cast<float>(fb_height);
+  const float rx0 = static_cast<float>(region.x);
+  const float rx1 = static_cast<float>(region.x + region.width - 1);
+  const float ry0 = static_cast<float>(region.y);
+  const float ry1 = static_cast<float>(region.y + region.height - 1);
+  // The grid-local point origin + spacing * u maps to clip space affinely:
+  // base + sum over axes of u[a] * axis[a].
+  const util::Vec4 base = local_to_clip * util::Vec4(grid.origin, 1.0f);
+  const util::Vec4 axis[3] = {local_to_clip * util::Vec4(s.x, 0, 0, 0),
+                              local_to_clip * util::Vec4(0, s.y, 0, 0),
+                              local_to_clip * util::Vec4(0, 0, s.z, 0)};
+
+  for (const CellBox& box : boxes) {
+    util::Vec4 lo[3], hi[3];
+    for (int a = 0; a < 3; ++a) {
+      const float u0 =
+          (box.lo[a] == 0 ? 0.0f : 2.0f * static_cast<float>(box.lo[a]) + 0.5f) - margin;
+      const float u1 = 2.0f * static_cast<float>(box.hi[a]) + 2.5f + margin;
+      lo[a] = axis[a] * u0;
+      hi[a] = axis[a] * u1;
+    }
+    float sx0 = std::numeric_limits<float>::max(), sx1 = std::numeric_limits<float>::lowest();
+    float sy0 = sx0, sy1 = sx1;
+    for (int c = 0; c < 8; ++c) {
+      const util::Vec4 clip =
+          base + ((c & 1) ? hi[0] : lo[0]) + ((c & 2) ? hi[1] : lo[1]) + ((c & 4) ? hi[2] : lo[2]);
+      if (!(clip.w > 1e-6f)) return {};
+      // Pixel-centre coordinates: the marcher's pixel px looks through
+      // NDC x = 2(px + 0.5)/width - 1, so centre px sits at sx = px.
+      const float inv_w = 1.0f / clip.w;
+      const float sx = (clip.x * inv_w + 1.0f) * half_w - 0.5f;
+      const float sy = (1.0f - clip.y * inv_w) * half_h - 0.5f;
+      if (!std::isfinite(sx) || !std::isfinite(sy)) return {};
+      sx0 = std::min(sx0, sx);
+      sx1 = std::max(sx1, sx);
+      sy0 = std::min(sy0, sy);
+      sy1 = std::max(sy1, sy);
+    }
+    // One pixel of margin, clamped to the region before any int conversion.
+    const float x0 = std::max(std::floor(sx0) - 1.0f, rx0);
+    const float x1 = std::min(std::ceil(sx1) + 1.0f, rx1);
+    const float y0 = std::max(std::floor(sy0) - 1.0f, ry0);
+    const float y1 = std::min(std::ceil(sy1) + 1.0f, ry1);
+    if (x0 > x1 || y0 > y1) continue;
+    const size_t col0 = static_cast<size_t>(x0 - rx0);
+    const size_t col1 = static_cast<size_t>(x1 - rx0) + 1;
+    for (size_t row = static_cast<size_t>(y0 - ry0); row <= static_cast<size_t>(y1 - ry0);
+         ++row) {
+      ++delta[row * stride + col0];
+      --delta[row * stride + col1];
+    }
+  }
+  return delta;
 }
 
 }  // namespace
@@ -613,22 +756,34 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
   g.cdelta_b = grid.color_high.z - grid.color_low.z;
   g.ops = std::min(1.0f, grid.opacity_scale * step / min_spacing * 0.25f);
 
-  // Build (or fetch) the macro-cells before fanning rows out to the pool —
-  // the lazy cache is not synchronized.
+  // The eye is invariant across rays; map it into grid space once.
+  const Vec3 origin = inv_model.transform_point(eye_world);
+
+  // Build (or fetch) the macro-cells and the footprint of occupied space
+  // before fanning rows out to the pool — the lazy cache is not
+  // synchronized.
   std::shared_ptr<const MacroCells> cells;
+  std::vector<int32_t> footprint;
   if (options.empty_skip) {
     cells = grid.macro_cells();
     g.cells = cells.get();
+    footprint = occupied_footprint(grid, *cells, view_proj * model, origin, region, fb.width(),
+                                   fb.height());
   }
+  const size_t footprint_stride = static_cast<size_t>(region.width) + 1;
 
   int group = 1;
   const WaveFn wave = pick_wave(group);
 
-  // The eye is invariant across rays; map it into grid space once.
-  const Vec3 origin = inv_model.transform_point(eye_world);
-
   const auto cast_row = [&](int py, RenderStats& rst) {
     SampleWave w;
+    // A running sum turns this row's coverage deltas into per-pixel
+    // counts in place; each row belongs to one task.
+    int32_t* cover = nullptr;
+    if (!footprint.empty()) {
+      cover = footprint.data() + static_cast<size_t>(py - region.y) * footprint_stride;
+      for (int i = 1; i < region.width; ++i) cover[i] += cover[i - 1];
+    }
     for (int px = region.x; px < region.x + region.width; ++px) {
       // NDC pixel center → camera-space ray.
       const float ndc_x = (2.0f * (static_cast<float>(px) + 0.5f) / fb.width() - 1.0f);
@@ -659,6 +814,12 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
         while (t0 + static_cast<float>(n + 1) * step <= t1) ++n;
       }
       ++rst.rays_cast;
+      // Outside the footprint every sample is transparent: the march would
+      // leave the pixel, its depth and the sample count untouched.
+      if (cover != nullptr && cover[px - region.x] == 0) {
+        ++rst.rays_culled;
+        continue;
+      }
 
       RayLocal ray;
       ray.ox = origin.x;

@@ -9,15 +9,18 @@
 //
 // The marcher is a two-level DDA with position-anchored stepping: sample k
 // of a ray sits at t0 + k*step, a function of the ray and the absolute
-// sample index alone, never of accumulated additions. Bricks of 8^3 voxels
-// carry cached min/max bounds (scene/bricks.hpp); a brick whose
-// support-expanded max is below the transfer function's iso_low is skipped
-// whole — provably without touching any sample the brute-force march would
-// shade — and rays retire early at the opacity cutoff. Sample evaluation
-// runs 4/8-wide (SSE2/AVX2/NEON, picked by util::active_simd_level) with a
-// scalar twin performing the identical float op sequence, so output is
-// byte-identical across {scalar, SIMD} × {serial, pooled} × {brute,
-// brick-skipped} — see DESIGN.md "Fast volume path" and tests/test_raycast.
+// sample index alone, never of accumulated additions. The grid carries
+// cached three-level max bounds (scene/bricks.hpp): 16^3 coarse cells and
+// 8^3 bricks whose support-expanded max is below the transfer function's
+// iso_low are skipped whole — provably without touching any sample the
+// brute-force march would shade — and rays retire early at the opacity
+// cutoff. Before the march, the screen footprint of the occupied 2^3 fine
+// cells is projected once per call; a ray whose pixel it misses is counted
+// (rays_cast, rays_culled) but not marched. Sample evaluation runs 4/8-wide
+// (SSE2/AVX2/NEON, picked by util::active_simd_level) with a scalar twin
+// performing the identical float op sequence, so output is byte-identical
+// across {scalar, SIMD} × {serial, pooled} × {brute, skipped and culled} —
+// see DESIGN.md "Fast volume path" and tests/test_raycast.
 #pragma once
 
 #include "render/framebuffer.hpp"
@@ -42,9 +45,9 @@ struct RaycastOptions {
   // written at the full opacity_cutoff, and thin volumes were punched
   // through).
   float depth_alpha = 0.05f;
-  // Macro-cell empty-space skipping. False = the brute-force march (every
-  // sample evaluated) — the byte-identical twin the property tests and the
-  // BENCH_raycast baseline compare against.
+  // Macro-cell empty-space skipping and the footprint ray cull. False = the
+  // brute-force march (every sample evaluated) — the byte-identical twin
+  // the property tests and the BENCH_raycast baseline compare against.
   bool empty_skip = true;
   Tile region{};
   // Parallelise over scanline rows on this pool (rays are independent, so
@@ -54,7 +57,8 @@ struct RaycastOptions {
 
 // Cast the grid under `model` into `fb` (which must already hold the
 // rasterized opaque scene so depth occlusion works both ways). Returns the
-// per-call marcher stats (rays cast, samples shaded, bricks skipped).
+// per-call marcher stats (rays cast and culled, samples shaded, bricks
+// skipped).
 RenderStats raycast_volume(FrameBuffer& fb, const scene::VoxelGridData& grid,
                            const util::Mat4& model, const scene::Camera& camera,
                            const RaycastOptions& options = {});

@@ -89,16 +89,30 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
   // row's own type code so the payload parser (not the type check) sees
   // the random bytes. Half the rounds draw small byte values, so length
   // prefixes and counts often fit and parsing reaches later fields.
+  // `hostile` seeds are well-formed encodings whose values a decoder must
+  // refuse: a peer naming a frame size makes its receiver allocate it.
   struct Row {
     uint16_t type;
     std::function<std::string(const net::Message&)> decode;  // error, "" if ok
+    std::vector<net::Message> hostile;
   };
-  const auto row = [](uint16_t type, auto decoder) {
-    return Row{type, [decoder](const net::Message& msg) {
+  const auto row = [](uint16_t type, auto decoder, std::vector<net::Message> hostile = {}) {
+    return Row{type,
+               [decoder](const net::Message& msg) {
                  const auto decoded = decoder(msg);
                  return decoded.ok() ? std::string() : decoded.error();
-               }};
+               },
+               std::move(hostile)};
   };
+  core::FrameRequest huge_request;
+  huge_request.width = 1 << 20;
+  huge_request.height = 1 << 20;
+  core::TileAssignMsg huge_assign;
+  huge_assign.session = "s";
+  huge_assign.tile = {0, 0, 64, 64};
+  huge_assign.frame_width = huge_assign.frame_height = 1 << 20;
+  core::TileAssignMsg outside_assign = huge_assign;
+  outside_assign.frame_width = outside_assign.frame_height = 48;
   const std::vector<Row> rows = {
       row(core::kMsgSubscribe, core::decode_subscribe),
       row(core::kMsgSubscribeAck, core::decode_subscribe_ack),
@@ -107,11 +121,12 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
       row(core::kMsgInterestSet, core::decode_interest_set),
       row(core::kMsgRefusal, core::decode_refusal),
       row(core::kMsgLoadReport, core::decode_load_report),
-      row(core::kMsgFrameRequest, core::decode_frame_request),
+      row(core::kMsgFrameRequest, core::decode_frame_request, {core::encode(huge_request)}),
       row(core::kMsgFrame, core::decode_frame),
       row(core::kMsgClientUpdate, core::decode_client_update),
       row(core::kMsgAvatarAck, core::decode_avatar_ack),
-      row(core::kMsgTileAssign, core::decode_tile_assign),
+      row(core::kMsgTileAssign, core::decode_tile_assign,
+          {core::encode(huge_assign), core::encode(outside_assign)}),
       row(core::kMsgTileResult, core::decode_tile_result),
       row(core::kMsgAssistRequest, core::decode_assist_request),
       row(core::kMsgAssistGrant, core::decode_assist_grant),
@@ -135,6 +150,8 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
       EXPECT_EQ(r.decode(msg).find("unexpected message type"), std::string::npos)
           << "type 0x" << std::hex << r.type;
     }
+    for (const net::Message& seed : r.hostile)
+      EXPECT_NE(r.decode(seed), "") << "type 0x" << std::hex << r.type << " accepted a seed";
   }
   SUCCEED();
 }

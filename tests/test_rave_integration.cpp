@@ -309,6 +309,67 @@ TEST_F(RaveFixture, TileAssistViaDataService) {
   EXPECT_EQ(frame.value().color(), reference.value().color());
 }
 
+TEST_F(RaveFixture, OversizedFrameRequestIsRefusedNotRendered) {
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({1, 0.2f, 0.2f}));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& render = add_render("laptop");
+  ASSERT_TRUE(render.connect_session(data_ap_, "demo").ok());
+  pump_all();
+
+  ThinClient client(clock_, fabric_);
+  ASSERT_TRUE(client.connect(render.client_access_point(), "demo").ok());
+  Camera cam;
+  cam.eye = {0, 0, 3};
+  // A full framebuffer at 65536x65536 would be about 30 GB.
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {65536, 65536}, {kMaxFrameSide + 1, 16}, {16, -1}, {0, 16}}) {
+    auto frame = client.request_frame(cam, w, h, 5.0, pump_fn());
+    ASSERT_FALSE(frame.ok()) << w << "x" << h;
+    EXPECT_NE(frame.error().find("frame request size"), std::string::npos) << frame.error();
+  }
+  EXPECT_EQ(render.stats().frames_rendered, 0u);
+
+  // The largest allowed side still renders.
+  auto frame = client.request_frame(cam, kMaxFrameSide, 2, 5.0, pump_fn());
+  ASSERT_TRUE(frame.ok()) << frame.error();
+  EXPECT_EQ(render.stats().frames_rendered, 1u);
+}
+
+TEST_F(RaveFixture, HostileTileAssignIsDropped) {
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({0.9f, 0.6f, 0.1f}));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& helper = add_render("helper");
+  ASSERT_TRUE(helper.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  auto peer = fabric_.dial(helper.peer_access_point());
+  ASSERT_TRUE(peer.ok()) << peer.error();
+
+  TileAssignMsg assign;
+  assign.session = "demo";
+  assign.camera.eye = {0, 0, 3};
+  const auto send = [&](render::Tile tile, int frame_w, int frame_h) {
+    assign.tile = tile;
+    assign.frame_width = frame_w;
+    assign.frame_height = frame_h;
+    ASSERT_TRUE(peer.value()->send(encode(assign)).ok());
+    pump_all();
+  };
+  send({0, 0, 64, 64}, 1 << 20, 1 << 20);  // a 1M x 1M frame
+  send({40, 0, 32, 32}, 64, 64);           // tile past the frame's right edge
+  send({0, -8, 32, 32}, 64, 64);           // negative origin
+  send({0, 0, 0, 32}, 64, 64);             // empty tile
+  EXPECT_EQ(helper.stats().peer_tiles_rendered, 0u);
+  EXPECT_FALSE(peer.value()->try_receive().has_value());
+
+  send({32, 32, 32, 32}, 64, 64);  // control: a tile inside its frame renders
+  EXPECT_EQ(helper.stats().peer_tiles_rendered, 1u);
+  auto reply = peer.value()->try_receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, kMsgTileResult);
+}
+
 TEST_F(RaveFixture, TileAssistRendersOnlyUncoveredSlotsLocally) {
   ASSERT_TRUE(data_.create_session("demo", fog_tree()).ok());
   RenderService& main = add_render("main");

@@ -244,6 +244,318 @@ TEST(RaycastSimd, ScalarVsSimdSerialPooledByteIdentical) {
   }
 }
 
+// --- screen-footprint ray cull ----------------------------------------------
+//
+// The skip path leaves a ray unmarched when its pixel misses the projected
+// footprint of every occupied 2^3 fine cell. Each case below renders the
+// brute march (scalar, serial) as the reference and requires the skip path
+// to match it byte for byte, with the same ray and shaded-sample counts.
+
+// The end-to-end benchmark's volume: a 48^3 body phantom, 852 voxels at or
+// above iso_low.
+VoxelGridData body_grid() {
+  scene::Aabb bounds;
+  bounds.extend({-1.2f, -1.3f, -0.8f});
+  bounds.extend({1.2f, 1.3f, 0.8f});
+  VoxelGridData grid = mesh::rasterize_field(mesh::body_field(), bounds, 48, 48, 48);
+  grid.iso_low = 0.25f;
+  grid.opacity_scale = 3.5f;
+  return grid;
+}
+
+// Hot voxels only on the grid's faces, edges and corners, so every
+// occupied fine cell is a border cell whose clamped samples reach the box.
+VoxelGridData border_grid(uint32_t n) {
+  VoxelGridData grid = empty_grid(n);
+  const uint32_t m = n / 2, e = n - 1;
+  grid.at(0, m, m) = 1.0f;
+  grid.at(e, m, 1) = 1.0f;
+  grid.at(m, 0, e) = 1.0f;
+  grid.at(0, 0, 0) = 1.0f;
+  grid.at(e, e, e) = 1.0f;
+  grid.at(m, e, 0) = 1.0f;
+  return grid;
+}
+
+Camera orbit_camera(std::mt19937& rng, float min_dist, float max_dist) {
+  std::uniform_real_distribution<float> angle(0.0f, 6.28318f);
+  std::uniform_real_distribution<float> pitch(-1.2f, 1.2f);
+  std::uniform_real_distribution<float> dist(min_dist, max_dist);
+  std::uniform_real_distribution<float> jitter(-0.4f, 0.4f);
+  Camera cam;
+  const float yaw = angle(rng), p = pitch(rng), r = dist(rng);
+  cam.eye = {r * std::cos(p) * std::sin(yaw), r * std::sin(p), r * std::cos(p) * std::cos(yaw)};
+  cam.target = {jitter(rng), jitter(rng), jitter(rng)};
+  return cam;
+}
+
+struct CullView {
+  util::Mat4 model = util::Mat4::identity();
+  Camera camera;
+  int width = 128, height = 96;
+};
+
+FrameBuffer blank(const CullView& view) {
+  FrameBuffer fb(view.width, view.height);
+  fb.clear({0.1f, 0.2f, 0.3f});
+  return fb;
+}
+
+// Skip path over `regions` (whole frame when empty) vs the scalar serial
+// brute march; returns the skip path's summed stats.
+RenderStats expect_cull_matches_brute(const VoxelGridData& grid, const CullView& view,
+                                      const std::string& what,
+                                      const std::vector<render::Tile>& regions = {},
+                                      util::ThreadPool* pool = nullptr) {
+  RenderStats brute_stats, skip_stats;
+  FrameBuffer brute = blank(view), skip = blank(view);
+  {
+    LevelGuard guard;
+    util::set_simd_level(SimdLevel::Scalar);
+    RaycastOptions opts;
+    opts.empty_skip = false;
+    brute_stats = render::raycast_volume(brute, grid, view.model, view.camera, opts);
+  }
+  RaycastOptions opts;
+  opts.pool = pool;
+  for (const render::Tile& region : regions.empty() ? std::vector<render::Tile>{{}} : regions) {
+    opts.region = region;
+    skip_stats += render::raycast_volume(skip, grid, view.model, view.camera, opts);
+  }
+  expect_identical(brute, skip, what);
+  EXPECT_EQ(brute_stats.rays_cast, skip_stats.rays_cast) << what;
+  EXPECT_EQ(brute_stats.volume_samples, skip_stats.volume_samples) << what;
+  EXPECT_EQ(brute_stats.rays_culled, 0u) << what << ": the brute march culled";
+  return skip_stats;
+}
+
+TEST(RaycastFootprint, MatchesBruteOnRandomOrbitCameras) {
+  struct Case {
+    std::string name;
+    VoxelGridData grid;
+    bool must_cull;
+  };
+  const std::vector<Case> cases = {
+      {"sparse", sparse_grid(), true},
+      {"body", body_grid(), true},
+      {"brick-boundary", brick_boundary_grid(), false},
+      {"border-12", border_grid(12), false},
+      {"random", random_grid(20, 4321), false},
+      {"empty", empty_grid(16), false},
+  };
+  std::mt19937 rng(2024);
+  for (const Case& c : cases) {
+    uint64_t culled = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+      CullView view;
+      view.camera = orbit_camera(rng, 2.2f, 6.0f);
+      culled += expect_cull_matches_brute(c.grid, view, c.name + " trial " + std::to_string(trial))
+                    .rays_culled;
+    }
+    if (c.must_cull) EXPECT_GT(culled, 0u) << c.name << ": the footprint culled nothing";
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteWithTheEyeInsideTheGrid) {
+  // A camera inside the volume sees occupied cells that straddle its eye
+  // plane; those must cover the whole frame. A few isolated hot voxels
+  // leave most of the frame to cull, so a cell projected through w <= 0
+  // corners would drop rays that do shade.
+  VoxelGridData few = empty_grid(16);
+  few.at(8, 8, 8) = 1.0f;
+  few.at(3, 11, 6) = 1.0f;
+  few.at(12, 4, 10) = 1.0f;
+  const std::vector<std::pair<std::string, VoxelGridData>> grids = {
+      {"few-hot", few}, {"sparse", sparse_grid()}, {"dense-ball", ball_grid(24)}};
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> inside(-0.9f, 0.9f);
+  std::uniform_real_distribution<float> offset(-0.15f, 0.15f);
+  for (const auto& [name, grid] : grids) {
+    for (int trial = 0; trial < 16; ++trial) {
+      CullView view;
+      // Half the eyes sit right next to a hot voxel of `few` (grid-local
+      // position -1 + 2i/15), the rest anywhere inside the box.
+      if (trial % 2 == 0) {
+        view.camera.eye = {-1.0f + 16.0f / 15.0f + offset(rng), -1.0f + 16.0f / 15.0f + offset(rng),
+                           -1.0f + 16.0f / 15.0f + offset(rng)};
+      } else {
+        view.camera.eye = {inside(rng), inside(rng), inside(rng)};
+      }
+      view.camera.target = view.camera.eye + Vec3{inside(rng), inside(rng), inside(rng)};
+      view.camera.znear = 0.01f;
+      expect_cull_matches_brute(grid, view, name + " inside trial " + std::to_string(trial));
+    }
+  }
+  // An eye on the axis of a hot rod, looking across it with a wide field
+  // of view. The fine cell holding the eye straddles the eye plane: the
+  // rod's near samples reach the top and bottom rows, far outside the
+  // rectangle that the cells' corners (projected through w <= 0) would span.
+  VoxelGridData rod = empty_grid(16);
+  for (uint32_t x = 9; x < 16; ++x) rod.at(x, 9, 9) = 1.0f;
+  const float centre = -1.0f + 9.5f * rod.spacing.x;  // voxel 9's sample position
+  for (const float fov : {90.0f, 120.0f}) {
+    for (const Vec3& look : {Vec3{0, 0, -1}, Vec3{0, 0, 1}, Vec3{0.3f, 0, -1}}) {
+      CullView view;
+      view.camera.eye = {centre, centre, centre};
+      view.camera.target = view.camera.eye + look;
+      view.camera.fov_y_deg = fov;
+      view.camera.znear = 0.01f;
+      expect_cull_matches_brute(rod, view, "rod, fov " + std::to_string(fov));
+    }
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteWhenTheNearPlaneCutsOccupiedCells) {
+  for (const auto& [name, grid] :
+       std::vector<std::pair<std::string, VoxelGridData>>{{"sparse", sparse_grid()},
+                                                          {"dense-ball", ball_grid(24)},
+                                                          {"body", body_grid()}}) {
+    for (const float znear : {0.8f, 1.6f, 2.4f}) {
+      CullView view;
+      view.camera.eye = {0.3f, 0.4f, 2.6f};
+      view.camera.target = {0.2f, 0.3f, 0.0f};
+      view.camera.znear = znear;
+      expect_cull_matches_brute(grid, view, name + " znear " + std::to_string(znear));
+    }
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteForRaysGrazingTheBoxFaces) {
+  // Eyes placed exactly in the planes of the grid box's faces: rays near
+  // the frame centre travel along a face, where every sample is clamped
+  // into a border cell half a voxel outside its base-voxel range.
+  for (const uint32_t n : {6u, 12u}) {
+    const VoxelGridData grid = border_grid(n);
+    const scene::Aabb box = grid.bounds();
+    const std::vector<std::pair<Vec3, Vec3>> eyes_targets = {
+        {{box.lo.x, 0.1f, 4.0f}, {box.lo.x, 0.1f, 0.0f}},
+        {{box.hi.x, -0.2f, -4.0f}, {box.hi.x, -0.2f, 0.0f}},
+        {{0.3f, box.lo.y, 4.0f}, {0.3f, box.lo.y, 0.0f}},
+        {{4.0f, box.hi.y, 0.2f}, {0.0f, box.hi.y, 0.2f}},
+        {{-0.1f, 4.0f, box.lo.z}, {-0.1f, 0.0f, box.lo.z}},
+        {{box.lo.x, box.lo.y, 5.0f}, {box.lo.x, box.lo.y, 0.0f}},  // along an edge
+        {{-4.0f, 0.0f, box.hi.z}, {0.0f, 0.0f, box.hi.z}},
+    };
+    for (size_t i = 0; i < eyes_targets.size(); ++i) {
+      CullView view;
+      view.camera.eye = eyes_targets[i].first;
+      view.camera.target = eyes_targets[i].second;
+      if (std::fabs(view.camera.eye.y - view.camera.target.y) > 1.0f) view.camera.up = {1, 0, 0};
+      view.width = 160;
+      view.height = 120;
+      expect_cull_matches_brute(grid, view,
+                                "border-" + std::to_string(n) + " face view " + std::to_string(i));
+    }
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteUnderRotatedScaledModelAndAnisotropicSpacing) {
+  VoxelGridData grid = sparse_grid();
+  grid.spacing = {grid.spacing.x, grid.spacing.y * 1.7f, grid.spacing.z * 0.6f};
+  VoxelGridData body = body_grid();
+  body.spacing = {body.spacing.x * 0.8f, body.spacing.y, body.spacing.z * 1.5f};
+  const util::Mat4 model = util::Mat4::translate({0.2f, -0.1f, 0.3f}) *
+                           util::Mat4::rotate_y(0.7f) * util::Mat4::rotate_x(-0.4f) *
+                           util::Mat4::scale({1.3f, 0.6f, 0.9f});
+  std::mt19937 rng(55);
+  uint64_t culled = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    CullView view;
+    view.model = model;
+    view.camera = orbit_camera(rng, 2.5f, 5.0f);
+    culled += expect_cull_matches_brute(grid, view, "sparse trial " + std::to_string(trial))
+                  .rays_culled;
+    culled +=
+        expect_cull_matches_brute(body, view, "body trial " + std::to_string(trial)).rays_culled;
+  }
+  EXPECT_GT(culled, 0u);
+}
+
+TEST(RaycastFootprint, MatchesBruteOnGridsSmallerThanOneBrick) {
+  VoxelGridData ragged = empty_grid(3);
+  ragged.nx = 3;
+  ragged.ny = 2;
+  ragged.nz = 7;
+  ragged.values.assign(ragged.voxel_count(), 0.0f);
+  ragged.at(2, 1, 6) = 1.0f;
+  ragged.at(0, 0, 3) = 0.6f;
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 8; ++trial) {
+    CullView view;
+    view.camera = orbit_camera(rng, 2.0f, 5.0f);
+    expect_cull_matches_brute(ball_grid(5), view, "tiny-5 trial " + std::to_string(trial));
+    expect_cull_matches_brute(ragged, view, "3x2x7 trial " + std::to_string(trial));
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteOnEveryTileOfAFourWaySplit) {
+  const VoxelGridData grid = body_grid();
+  const std::vector<render::Tile> tiles = render::split_tiles(640, 480, 4);
+  std::mt19937 rng(3);
+  for (int trial = 0; trial < 2; ++trial) {
+    CullView view;
+    view.camera = orbit_camera(rng, 2.5f, 3.5f);
+    view.width = 640;
+    view.height = 480;
+    const RenderStats st =
+        expect_cull_matches_brute(grid, view, "tiles trial " + std::to_string(trial), tiles);
+    EXPECT_GT(st.rays_culled, 0u);
+  }
+}
+
+TEST(RaycastFootprint, MatchesBruteAtEveryThreadCountAndSimdLevel) {
+  const std::vector<std::pair<std::string, VoxelGridData>> grids = {{"sparse", sparse_grid()},
+                                                                    {"body", body_grid()}};
+  LevelGuard guard;
+  std::mt19937 rng(19);
+  std::vector<CullView> views(2);
+  for (CullView& view : views) view.camera = orbit_camera(rng, 2.5f, 4.5f);
+  for (const SimdLevel level : supported_levels()) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      util::ThreadPool pool(threads);
+      for (const auto& [name, grid] : grids) {
+        for (size_t v = 0; v < views.size(); ++v) {
+          util::set_simd_level(level);
+          const std::string what = name + " view " + std::to_string(v) + " level " +
+                                   std::string(util::simd_level_name(level)) + " " +
+                                   std::to_string(threads) + " threads";
+          EXPECT_GT(expect_cull_matches_brute(grid, views[v], what, {}, &pool).rays_culled, 0u)
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(RaycastFootprint, FineCellsBoundTheBricks) {
+  const VoxelGridData grid = random_grid(21, 5);
+  const auto cells = grid.macro_cells();
+  ASSERT_EQ(cells->fx, 11u);
+  ASSERT_EQ(cells->bx, 3u);
+  // Every fine cell's support max is the max over voxels [2c, 2c+2] per
+  // axis, and each brick's max is the max over its 4^3 fine cells.
+  for (uint32_t z = 0; z < cells->fz; ++z)
+    for (uint32_t y = 0; y < cells->fy; ++y)
+      for (uint32_t x = 0; x < cells->fx; ++x) {
+        float expect = -1.0f;
+        for (uint32_t k = 2 * z; k <= std::min(2 * z + 2, grid.nz - 1); ++k)
+          for (uint32_t j = 2 * y; j <= std::min(2 * y + 2, grid.ny - 1); ++j)
+            for (uint32_t i = 2 * x; i <= std::min(2 * x + 2, grid.nx - 1); ++i)
+              expect = std::max(expect, grid.at(i, j, k));
+        ASSERT_EQ(cells->fine_max[cells->fine_index(x, y, z)], expect) << x << "," << y << "," << z;
+      }
+  for (uint32_t z = 0; z < cells->bz; ++z)
+    for (uint32_t y = 0; y < cells->by; ++y)
+      for (uint32_t x = 0; x < cells->bx; ++x) {
+        float expect = -1.0f;
+        for (uint32_t k = 8 * z; k <= std::min(8 * z + 8, grid.nz - 1); ++k)
+          for (uint32_t j = 8 * y; j <= std::min(8 * y + 8, grid.ny - 1); ++j)
+            for (uint32_t i = 8 * x; i <= std::min(8 * x + 8, grid.nx - 1); ++i)
+              expect = std::max(expect, grid.at(i, j, k));
+        ASSERT_EQ(cells->max_v[cells->index(x, y, z)], expect) << x << "," << y << "," << z;
+      }
+}
+
 // --- frustum-culled render lists --------------------------------------------
 
 SceneTree mixed_scene() {
