@@ -64,19 +64,15 @@ const scene::SceneTree& elle_tree() {
   return tree;
 }
 
-// Args: width, height, threads (0 = serial), simd, tiles. The draw covers
+// Args: width, height, simd, tiles. The draw covers
 // split_tiles(width, height, tiles)[0]: tiles = 1 is the whole frame,
-// tiles = 4 one quarter — a tile render's cost, binning included.
+// tiles = 4 one quarter — a tile render's cost, bbox reject included.
 void BM_RasterizeElle(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int height = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
-  const SimdArg simd(state.range(3));
-  const int tiles = static_cast<int>(state.range(4));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<util::ThreadPool>(static_cast<unsigned>(threads));
+  const SimdArg simd(state.range(2));
+  const int tiles = static_cast<int>(state.range(3));
   render::RenderOptions opts;
-  opts.pool = pool.get();
   opts.region = render::split_tiles(width, height, tiles)[0];
   const scene::Camera cam = scene::Camera::framing(elle_tree().world_bounds());
   for (auto _ : state) {
@@ -84,18 +80,14 @@ void BM_RasterizeElle(benchmark::State& state) {
     benchmark::DoNotOptimize(render::render_tree(elle_tree(), cam, width, height, opts, &stats));
   }
   state.SetItemsProcessed(state.iterations() * 50'000);
-  state.SetLabel((threads > 0 ? std::to_string(threads) + " threads" : "serial") + " " +
-                 simd.label() + (tiles > 1 ? " tile 1/" + std::to_string(tiles) : ""));
+  state.SetLabel(simd.label() + (tiles > 1 ? " tile 1/" + std::to_string(tiles) : ""));
 }
 BENCHMARK(BM_RasterizeElle)
-    ->Args({200, 200, 0, 1, 1})
-    ->Args({400, 400, 0, 0, 1})
-    ->Args({400, 400, 0, 1, 1})
-    ->Args({400, 400, 2, 1, 1})
-    ->Args({400, 400, 4, 1, 1})
-    ->Args({400, 400, 8, 1, 1})
-    ->Args({640, 480, 2, 1, 1})
-    ->Args({640, 480, 2, 1, 4});
+    ->Args({200, 200, 1, 1})
+    ->Args({400, 400, 0, 1})
+    ->Args({400, 400, 1, 1})
+    ->Args({640, 480, 1, 1})
+    ->Args({640, 480, 1, 4});
 
 // Deterministic pseudo-random depth planes: with both buffers cleared to
 // 1.0 the `src < dst` branch was never taken and only the pass-through

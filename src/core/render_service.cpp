@@ -337,7 +337,11 @@ size_t RenderService::pump_peers() {
         auto result = decode_tile_result(*msg);
         if (!result.ok()) continue;
         auto buffer = render::FrameBuffer::deserialize(result.value().framebuffer);
-        if (!buffer.ok()) continue;
+        // A result must fill the tile it names, or the slot would be left
+        // half painted.
+        if (!buffer.ok() || buffer.value().width() != result.value().tile.width ||
+            buffer.value().height() != result.value().tile.height)
+          continue;
         remote.tile = result.value().tile;
         remote.buffer = std::move(buffer).take();
         remote.generation = result.value().generation;
@@ -365,7 +369,6 @@ render::FrameBuffer RenderService::render_local(Replica& replica, const Camera& 
                                                 const render::Tile& region) {
   render::RenderOptions opts;
   opts.region = region;
-  opts.pool = options_.pool;
   render::Rasterizer raster(width, height);
   raster.clear(opts);
   // One frustum-culling pass in front of both backends: walk the replica
@@ -528,8 +531,11 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
   if (replica->tile_mode) {
     // Keep only the locally-owned tile; peer tiles overwrite the rest, or
     // the local rendering stands in until they arrive (bootstrap, §5.5).
-    for (const RemoteTile& remote : replica->remotes) {
-      if (!remote.valid) {
+    // A result is pasted only at the slot it was assigned: a tile from an
+    // earlier split, or one an assistant made up, leaves the local pixels.
+    for (size_t i = 0; i < replica->remotes.size(); ++i) {
+      const RemoteTile& remote = replica->remotes[i];
+      if (!remote.valid || remote.tile != slot_of(i)) {
         ++stats_.locally_covered_tiles;
         continue;  // local render already covers this region
       }

@@ -38,8 +38,9 @@ struct ServiceConfig {
   double tile_timeout = 0.0;
 
   // --- resources --------------------------------------------------------------
-  // Worker pool for tile-parallel rasterization/compositing (shared,
-  // null = serial; output is byte-identical either way).
+  // Worker pool for the ray-caster's rows and the depth compositor's bands
+  // (shared, null = serial; output is byte-identical either way). The
+  // rasterizer is serial.
   util::ThreadPool* pool = nullptr;
   // Frame codec for thin clients.
   compress::AdaptiveConfig codec{};

@@ -191,11 +191,17 @@ Result<FrameBuffer> FrameBuffer::deserialize(std::span<const uint8_t> data) {
   const int h = r.i32();
   if (!r.ok() || w < 0 || h < 0 || static_cast<int64_t>(w) * h > (1 << 26))
     return make_error("framebuffer: bad dimensions");
-  FrameBuffer fb(w, h);
+  // The header comes from a peer: check that the payload holds both planes
+  // (a u32 length and 3 bytes per pixel, a u32 length and 4 bytes per
+  // pixel) before allocating anything for them.
+  const size_t pixels = static_cast<size_t>(w) * h;
+  if (r.remaining() < 8 + pixels * 7) return make_error("framebuffer: truncated planes");
+  FrameBuffer fb(0, 0);
+  fb.width_ = w;
+  fb.height_ = h;
   fb.color_ = r.bytes();
   fb.depth_ = r.f32_span();
-  if (!r.ok() || fb.color_.size() != static_cast<size_t>(w) * h * 3 ||
-      fb.depth_.size() != static_cast<size_t>(w) * h)
+  if (!r.ok() || fb.color_.size() != pixels * 3 || fb.depth_.size() != pixels)
     return make_error("framebuffer: truncated planes");
   return fb;
 }

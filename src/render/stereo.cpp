@@ -34,11 +34,8 @@ StereoPair render_stereo(const scene::SceneTree& tree, const Camera& camera, int
   pair.left = render_tree(tree, left, width, height, options.base);
   pair.right = render_tree(tree, right, width, height, options.base);
   if (options.include_volumes) {
-    // The ray-caster shares the rasterizer's pool (rows are independent,
-    // so the parallel result is identical to the serial one).
     RaycastOptions ray_opts;
     ray_opts.region = options.base.region;
-    ray_opts.pool = options.base.pool;
     raycast_tree_volumes(pair.left, tree, left, ray_opts);
     raycast_tree_volumes(pair.right, tree, right, ray_opts);
   }

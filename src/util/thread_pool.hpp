@@ -1,7 +1,7 @@
-// Fixed-size worker pool shared by the rendering substrate: the rasterizer
-// parallelises over framebuffer tiles, the ray-caster over scanline rows,
-// and the compositor over row bands — all bit-deterministic because work
-// items never share pixels. parallel_for fans an index range out to the
+// Fixed-size worker pool shared by the rendering substrate: the ray-caster
+// parallelises over scanline rows and the compositor over row bands — both
+// bit-deterministic because work items never share pixels. The rasterizer
+// is serial; frames are split across render services by tile instead. parallel_for fans an index range out to the
 // workers *and* to the calling thread: the caller drains the same chunk
 // queue, so it is safe to call from a pool worker (nested use makes
 // progress even when every other worker is busy or blocked in its own

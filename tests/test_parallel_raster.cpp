@@ -1,10 +1,11 @@
-// Determinism of the tile-binned parallel rasterizer: with a pool the
-// renderer must produce byte-identical color *and* depth planes to the
-// serial path for every thread count, every payload kind, and partial
-// regions — that bit-exactness is what makes the paper's distributed
-// tile/subset compositing testable (DESIGN.md "Tile-binned parallel
-// rasterization"). These tests carry the `tsan` ctest label so a
-// -DRAVE_SANITIZE=thread build can run them instrumented.
+// Tile determinism of the rasterizer: a render restricted to a region must
+// produce byte-identical color *and* depth planes to that window of a
+// full-frame render, for every payload kind and every SIMD level — that
+// bit-exactness is what lets the paper's render services split a frame by
+// tile and composite the pieces (DESIGN.md "Rasterizer determinism"). The
+// depth compositor's pooled path is checked against its serial one. These
+// tests carry the `tsan` ctest label so a -DRAVE_SANITIZE=thread build
+// can run them instrumented.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -72,61 +73,29 @@ void expect_identical(const FrameBuffer& a, const FrameBuffer& b, const std::str
   EXPECT_EQ(a.depth(), b.depth()) << what << ": depth plane differs";
 }
 
-TEST(ParallelRaster, PoolRendersByteIdenticalToSerial) {
-  const SceneTree tree = payload_scene();
-  const Camera cam = front_camera();
-  RenderStats serial_stats;
-  const FrameBuffer serial = render_tree(tree, cam, 200, 150, {}, &serial_stats);
-  EXPECT_GT(serial_stats.triangles_rasterized, 0u);
-  EXPECT_GT(serial_stats.pixels_shaded, 0u);
-
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    RenderOptions opts;
-    opts.pool = &pool;
-    RenderStats stats;
-    const FrameBuffer parallel = render_tree(tree, cam, 200, 150, opts, &stats);
-    expect_identical(serial, parallel, std::to_string(threads) + " threads");
-    // Per-cell stats merge back to the serial totals.
-    EXPECT_EQ(stats.triangles_submitted, serial_stats.triangles_submitted);
-    EXPECT_EQ(stats.triangles_rasterized, serial_stats.triangles_rasterized);
-    EXPECT_EQ(stats.pixels_shaded, serial_stats.pixels_shaded);
-    EXPECT_EQ(stats.points_submitted, serial_stats.points_submitted);
-  }
-}
-
 TEST(ParallelRaster, PartialRegionMatchesSerialAndFullFrame) {
   const SceneTree tree = payload_scene();
   const Camera cam = front_camera();
-  // Deliberately not aligned to the 64-px binning grid.
+  // Deliberately not aligned to any power-of-two grid.
   const Tile region{17, 9, 111, 93};
-  RenderOptions serial_opts;
-  serial_opts.region = region;
-  Rasterizer serial(160, 120);
-  serial.clear(serial_opts);
-  serial.draw_tree(tree, cam, serial_opts);
+  RenderOptions opts;
+  opts.region = region;
+  Rasterizer partial(160, 120);
+  partial.clear(opts);
+  partial.draw_tree(tree, cam, opts);
 
-  ThreadPool pool(4);
-  RenderOptions pool_opts = serial_opts;
-  pool_opts.pool = &pool;
-  Rasterizer parallel(160, 120);
-  parallel.clear(pool_opts);
-  parallel.draw_tree(tree, cam, pool_opts);
-  expect_identical(serial.framebuffer(), parallel.framebuffer(), "partial region");
-
-  // Inside the region both must match the full-frame render bit-exactly
-  // (tile alignment, paper §3.1.2).
+  // Inside the region the render must match the full-frame render
+  // bit-exactly (tile alignment, paper §3.1.2).
   const FrameBuffer full = render_tree(tree, cam, 160, 120);
-  const FrameBuffer cut = full.extract(region);
-  const FrameBuffer cut_parallel = parallel.framebuffer().extract(region);
-  expect_identical(cut, cut_parallel, "region vs full frame");
+  expect_identical(full.extract(region), partial.framebuffer().extract(region),
+                   "region vs full frame");
 }
 
-TEST(ParallelRaster, ElleTilesMatchTheFullFrameAtEveryLevelAndThreadCount) {
-  // A tile draw drops triangles whose pixel bbox misses its region before
-  // binning. That may change no pixel inside the region, and every
-  // counter keeps its per-call meaning: submitted and rasterized count the
-  // whole mesh, pixels_shaded the z-pass writes inside the region.
+TEST(ParallelRaster, ElleTilesMatchTheFullFrameAtEveryLevel) {
+  // A tile draw skips triangles whose pixel bbox misses its region. That
+  // may change no pixel inside the region, and every counter keeps its
+  // per-call meaning: submitted and rasterized count the whole mesh,
+  // pixels_shaded the z-pass writes inside the region.
   SceneTree tree;
   const scene::NodeId node = tree.add_child(scene::kRootNode, "elle", mesh::make_elle());
   const scene::MeshData& elle = std::get<scene::MeshData>(tree.find(node)->payload);
@@ -147,35 +116,25 @@ TEST(ParallelRaster, ElleTilesMatchTheFullFrameAtEveryLevelAndThreadCount) {
                                       util::SimdLevel::Avx2, util::SimdLevel::Neon}) {
     util::set_simd_level(level);
     if (util::active_simd_level() != level) continue;  // not available here
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      ThreadPool pool(threads);
-      uint64_t tile_pixels = 0;
-      for (const Tile& tile : tiles) {
-        const std::string what = std::string(util::simd_level_name(level)) + ", " +
-                                 std::to_string(threads) + " threads, tile at " +
-                                 std::to_string(tile.x) + "," + std::to_string(tile.y);
-        RenderOptions opts;
-        opts.region = tile;
-        Rasterizer serial(kW, kH);
-        serial.clear(opts);
-        serial.draw_mesh(elle, util::Mat4::identity(), cam, opts);
-        opts.pool = &pool;
-        Rasterizer pooled(kW, kH);
-        pooled.clear(opts);
-        pooled.draw_mesh(elle, util::Mat4::identity(), cam, opts);
+    uint64_t tile_pixels = 0;
+    for (const Tile& tile : tiles) {
+      const std::string what = std::string(util::simd_level_name(level)) + ", tile at " +
+                               std::to_string(tile.x) + "," + std::to_string(tile.y);
+      RenderOptions opts;
+      opts.region = tile;
+      Rasterizer part(kW, kH);
+      part.clear(opts);
+      part.draw_mesh(elle, util::Mat4::identity(), cam, opts);
 
-        expect_identical(reference.framebuffer().extract(tile),
-                         pooled.framebuffer().extract(tile), what);
-        EXPECT_EQ(pooled.stats().triangles_submitted, full.triangles_submitted) << what;
-        EXPECT_EQ(pooled.stats().triangles_rasterized, full.triangles_rasterized) << what;
-        EXPECT_EQ(pooled.stats().pixels_shaded, serial.stats().pixels_shaded) << what;
-        tile_pixels += pooled.stats().pixels_shaded;
-      }
-      // The tiles partition the frame, so their z-pass writes add up to
-      // the full frame's.
-      EXPECT_EQ(tile_pixels, full.pixels_shaded)
-          << util::simd_level_name(level) << ", " << threads << " threads";
+      expect_identical(reference.framebuffer().extract(tile), part.framebuffer().extract(tile),
+                       what);
+      EXPECT_EQ(part.stats().triangles_submitted, full.triangles_submitted) << what;
+      EXPECT_EQ(part.stats().triangles_rasterized, full.triangles_rasterized) << what;
+      tile_pixels += part.stats().pixels_shaded;
     }
+    // The tiles partition the frame, so their z-pass writes add up to
+    // the full frame's.
+    EXPECT_EQ(tile_pixels, full.pixels_shaded) << util::simd_level_name(level);
   }
   util::set_simd_level(saved);
 }

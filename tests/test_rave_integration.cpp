@@ -4,6 +4,8 @@
 // migration, refusal, and session persistence.
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "core/data_service.hpp"
 #include "core/fabric.hpp"
 #include "core/render_service.hpp"
@@ -466,6 +468,71 @@ TEST_F(RaveFixture, TileFromAnEarlierSplitDoesNotCoverANewSlot) {
   ASSERT_TRUE(settled.ok());
   EXPECT_EQ(main.stats().volume_rays - rays, rays_in(replica, cam, kW, kH, two[0]));
   EXPECT_EQ(settled.value().color(), reference.value().color());
+}
+
+TEST_F(RaveFixture, AssistantResultIsCompositedOnlyAtItsAssignedSlot) {
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({0.3f, 0.8f, 0.4f}));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& main = add_render("main");
+  ASSERT_TRUE(main.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  // The assistant is a bare channel that answers with whatever it likes.
+  net::ChannelPtr hostile;
+  auto hostile_ap =
+      fabric_.listen("hostile/peer", [&](net::ChannelPtr ch) { hostile = std::move(ch); });
+  ASSERT_TRUE(hostile_ap.ok()) << hostile_ap.error();
+  ASSERT_TRUE(main.enable_tile_assist("demo", {hostile_ap.value()}).ok());
+  ASSERT_NE(hostile, nullptr);
+
+  constexpr int kW = 64, kH = 48;
+  Camera cam;
+  cam.eye = {0, 0, 3};
+  const std::vector<render::Tile> slots = render::split_tiles(kW, kH, 2);
+  auto reference = main.render_console("demo", cam, kW, kH);
+  ASSERT_TRUE(reference.ok());
+  render::FrameBuffer white(slots[0].width, slots[0].height);
+  white.clear({1, 1, 1});
+  for (float& d : white.depth()) d = 0.0f;
+
+  // Answer the pending assignment with `tile` and `buffer`, then render
+  // the next frame: it must equal the monolithic render.
+  const auto answer_then_render = [&](const render::Tile& tile,
+                                      const render::FrameBuffer& buffer) {
+    auto assign_msg = hostile->try_receive();
+    ASSERT_TRUE(assign_msg.has_value());
+    auto assign = decode_tile_assign(*assign_msg);
+    ASSERT_TRUE(assign.ok()) << assign.error();
+    ASSERT_TRUE(assign.value().tile == slots[1]);
+    TileResultMsg result;
+    result.tile = tile;
+    result.generation = assign.value().generation;
+    result.framebuffer = buffer.serialize();
+    ASSERT_TRUE(hostile->send(encode(result)).ok());
+    pump_all();
+    auto frame = main.render_distributed("demo", cam, kW, kH);
+    ASSERT_TRUE(frame.ok()) << frame.error();
+    EXPECT_EQ(frame.value().color(), reference.value().color());
+    EXPECT_EQ(frame.value().depth(), reference.value().depth());
+  };
+
+  ASSERT_TRUE(main.render_distributed("demo", cam, kW, kH).ok());
+  EXPECT_EQ(main.stats().locally_covered_tiles, 1u);
+  // A white tile claiming the publisher's own slot.
+  answer_then_render(slots[0], white);
+  EXPECT_EQ(main.stats().locally_covered_tiles, 2u);
+  // The assigned slot, but a 1x1 buffer that cannot fill it.
+  answer_then_render(slots[1], render::FrameBuffer(1, 1));
+  EXPECT_EQ(main.stats().locally_covered_tiles, 3u);
+  // A tile whose origin would overflow the paste arithmetic.
+  answer_then_render({INT_MIN, 0, 8, 8}, render::FrameBuffer(8, 8));
+  EXPECT_EQ(main.stats().locally_covered_tiles, 4u);
+  EXPECT_EQ(main.stats().remote_tiles_used, 0u);
+
+  // Control: the right pixels at the assigned slot are used.
+  answer_then_render(slots[1], reference.value().extract(slots[1]));
+  EXPECT_EQ(main.stats().locally_covered_tiles, 4u);
+  EXPECT_EQ(main.stats().remote_tiles_used, 1u);
 }
 
 TEST_F(RaveFixture, StalledAssistantProducesStaleTiles) {

@@ -3,13 +3,60 @@
 // tile/subset compositing correct, so they are tested bit-exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "mesh/primitives.hpp"
 #include "render/compositor.hpp"
 #include "render/framebuffer.hpp"
 #include "render/rasterizer.hpp"
 #include "render/raycast.hpp"
 #include "scene/camera.hpp"
+#include "util/serial.hpp"
 #include "util/simd.hpp"
+
+// Allocation cap for decoders fed untrusted headers: while armed, any
+// single request above the cap is counted and refused with bad_alloc
+// instead of being served, so a decoder that sizes a buffer from a header
+// fails its test without taking the memory.
+namespace {
+std::atomic<size_t> g_alloc_cap{0};  // 0 = unarmed
+std::atomic<size_t> g_allocs_refused{0};
+
+void* capped_alloc(size_t size) {
+  const size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && size > cap) {
+    g_allocs_refused.fetch_add(1, std::memory_order_relaxed);
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* capped_alloc_nothrow(size_t size) noexcept {
+  try {
+    return capped_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+}  // namespace
+
+void* operator new(size_t size) { return capped_alloc(size); }
+void* operator new[](size_t size) { return capped_alloc(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return capped_alloc_nothrow(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return capped_alloc_nothrow(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace rave::render {
 namespace {
@@ -76,6 +123,36 @@ TEST(Framebuffer, SerializeRoundTrip) {
 TEST(Framebuffer, DeserializeRejectsGarbage) {
   std::vector<uint8_t> garbage{1, 2, 3};
   EXPECT_FALSE(FrameBuffer::deserialize(garbage).ok());
+}
+
+TEST(Framebuffer, DeserializeChecksThePayloadBeforeAllocating) {
+  // A peer's 8-byte header naming an 8192x8192 frame (2^26 pixels, the
+  // largest the decoder accepts) and no planes: refusing it must not
+  // first allocate the ~470 MB those planes would take.
+  util::ByteWriter header;
+  header.i32(8192);
+  header.i32(8192);
+  const std::vector<uint8_t> hostile = header.take();
+  ASSERT_EQ(hostile.size(), 8u);
+
+  FrameBuffer fb(7, 5);
+  fb.clear({0.2f, 0.4f, 0.6f});
+  std::vector<uint8_t> short_by_one = fb.serialize();
+  short_by_one.pop_back();
+
+  struct CapGuard {
+    CapGuard() {
+      g_allocs_refused = 0;
+      g_alloc_cap = size_t{1} << 20;
+    }
+    ~CapGuard() { g_alloc_cap = 0; }
+  };
+  {
+    const CapGuard cap;
+    EXPECT_FALSE(FrameBuffer::deserialize(hostile).ok());
+    EXPECT_FALSE(FrameBuffer::deserialize(short_by_one).ok());
+  }
+  EXPECT_EQ(g_allocs_refused.load(), 0u) << "an allocation above 1 MB was attempted";
 }
 
 TEST(Tiles, SplitCoversFrameExactly) {

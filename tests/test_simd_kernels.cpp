@@ -2,9 +2,10 @@
 // determinism"): every vectorized kernel must be byte-identical to its
 // scalar twin on randomized inputs, including ragged sizes that do not
 // divide the lane width, and the renderer/codec paths built on them must
-// produce identical bytes at every SIMD level × thread count. Carries the
-// `simd` and `tsan` ctest labels so sanitizer builds exercise the lane
-// tails and the pool × lanes combination.
+// produce identical bytes at every SIMD level (and, for the pooled depth
+// compositor, every thread count). Carries the `simd` and `tsan` ctest
+// labels so sanitizer builds exercise the lane tails and the pool × lanes
+// combination.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -247,7 +248,7 @@ scene::Camera test_camera() {
   return cam;
 }
 
-TEST(SimdKernels, RasterizerByteIdenticalAcrossLevelsAndThreads) {
+TEST(SimdKernels, RasterizerByteIdenticalAcrossLevels) {
   LevelGuard guard;
   std::mt19937 rng(31);
   const scene::SceneTree tree = random_scene(rng);
@@ -257,21 +258,9 @@ TEST(SimdKernels, RasterizerByteIdenticalAcrossLevelsAndThreads) {
   const FrameBuffer ref = render::render_tree(tree, cam, 163, 117);
   for (const SimdLevel level : supported_levels()) {
     util::set_simd_level(level);
-    const FrameBuffer serial = render::render_tree(tree, cam, 163, 117);
-    EXPECT_EQ(serial.color(), ref.color())
-        << util::simd_level_name(level) << " serial color";
-    EXPECT_EQ(serial.depth(), ref.depth())
-        << util::simd_level_name(level) << " serial depth";
-    for (const unsigned threads : {2u, 5u}) {
-      util::ThreadPool pool(threads);
-      render::RenderOptions opts;
-      opts.pool = &pool;
-      const FrameBuffer pooled = render::render_tree(tree, cam, 163, 117, opts);
-      EXPECT_EQ(pooled.color(), ref.color())
-          << util::simd_level_name(level) << " x " << threads << " threads, color";
-      EXPECT_EQ(pooled.depth(), ref.depth())
-          << util::simd_level_name(level) << " x " << threads << " threads, depth";
-    }
+    const FrameBuffer frame = render::render_tree(tree, cam, 163, 117);
+    EXPECT_EQ(frame.color(), ref.color()) << util::simd_level_name(level) << " color";
+    EXPECT_EQ(frame.depth(), ref.depth()) << util::simd_level_name(level) << " depth";
   }
 }
 
