@@ -42,9 +42,9 @@ obs::Histogram& delivery_histogram(QualityClass quality, const char* hop) {
       {{"class", compress::quality_name(quality)}, {"hop", hop}});
 }
 
-// Host label for receiver-side spans when the embedding service set one
-// (render_service pumps set the thread host); standalone receivers fall
-// back to "subscriber".
+// Host label for receiver-side spans: whoever drives the receiver (a
+// service's pump or a ThinClient) sets it with obs::ScopedHost;
+// "subscriber" is the fallback when no one has.
 const std::string& receiver_host() {
   static const std::string kFallback = "subscriber";
   const std::string& host = obs::Tracer::current_host();

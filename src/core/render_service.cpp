@@ -85,7 +85,7 @@ bool RenderService::bootstrapped(const std::string& session) const {
 size_t RenderService::pump() {
   // Spans recorded while this service drives the rasterizer/codec carry
   // its host label.
-  obs::Tracer::set_current_host(options_.profile.name);
+  const obs::ScopedHost host(options_.profile.name);
   for (net::ChannelPtr& channel : client_inbox_.take())
     clients_.push_back(std::make_unique<Client>(std::move(channel), options_.codec));
   for (net::ChannelPtr& channel : peer_inbox_.take()) peer_channels_.push_back(std::move(channel));
@@ -642,11 +642,11 @@ Result<FrameStreamPublisher::FrameReport> RenderService::publish_stream_frame(
   if (replica == nullptr) return make_error("render: no session " + session);
   if (!replica->stream || replica->stream->subscriber_count() == 0)
     return FrameStreamPublisher::FrameReport{};  // nobody listening: skip the render
+  // The render's shade/raster spans and the root of the frame's delivery
+  // trace carry this service's name, whoever was pumped last.
+  const obs::ScopedHost host(options_.profile.name);
   auto frame = render_distributed(session, camera, width, height);
   if (!frame.ok()) return make_error(frame.error());
-  // The publisher roots the frame's delivery trace; make sure its root
-  // span carries this service's name rather than the "publisher" fallback.
-  obs::Tracer::set_current_host(options_.profile.name);
   return replica->stream->publish_frame(frame.value().to_image());
 }
 

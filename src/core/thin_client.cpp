@@ -39,6 +39,9 @@ Result<render::Image> ThinClient::next_stream_frame(double timeout_seconds,
                                                     const std::function<void()>& pump) {
   if (!connected_) return make_error("thin client: not connected");
   if (!receiver_) return make_error("thin client: subscribe_stream first");
+  // The receiver's decode and assemble spans are this client's work; the
+  // services `pump` drives label their own.
+  const obs::ScopedHost host(profile_.name);
   auto frame = receiver_->next_frame(*clock_, timeout_seconds, pump);
   if (!frame.ok()) return frame;
   // The PDA-side unpack cost applies to streamed frames just like pulled

@@ -64,7 +64,9 @@ TraceContext Tracer::current() { return tls_current; }
 void Tracer::set_current(TraceContext context) { tls_current = context; }
 
 const std::string& Tracer::current_host() { return tls_host; }
-void Tracer::set_current_host(std::string host) { tls_host = std::move(host); }
+
+ScopedHost::ScopedHost(std::string host) : saved_(std::move(host)) { tls_host.swap(saved_); }
+ScopedHost::~ScopedHost() { tls_host.swap(saved_); }
 
 ScopedSpan::ScopedSpan(std::string name, std::string host, TraceContext parent) {
   // The profiler samples annotation stacks independently of whether the

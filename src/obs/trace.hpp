@@ -76,10 +76,9 @@ class Tracer {
   static void set_current(TraceContext context);
 
   // Thread-local host label for spans recorded by layers that don't know
-  // which service is driving them (rasterizer, codec). Services set it
-  // when they adopt a message's context.
+  // which service is driving them (rasterizer, stream receiver). Whoever
+  // does work on a host's behalf sets it for that scope with ScopedHost.
   static const std::string& current_host();
-  static void set_current_host(std::string host);
 
  private:
   std::atomic<bool> enabled_{false};
@@ -89,6 +88,22 @@ class Tracer {
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
   size_t capacity_ = 4096;
+};
+
+// Sets the thread's host label (Tracer::current_host) for its lifetime and
+// restores the previous label on exit, so a nested scope — a service
+// pumping its peers, a client pumping the services it waits on — leaves
+// the outer label as it found it.
+class ScopedHost {
+ public:
+  explicit ScopedHost(std::string host);
+  ~ScopedHost();
+
+  ScopedHost(const ScopedHost&) = delete;
+  ScopedHost& operator=(const ScopedHost&) = delete;
+
+ private:
+  std::string saved_;
 };
 
 // RAII span. Inactive (zero work beyond two loads) unless the tracer is

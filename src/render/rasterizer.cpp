@@ -83,6 +83,9 @@ int floor_to_int(float v) {
 int ceil_to_int(float v) {
   return static_cast<int>(std::ceil(std::clamp(v, -1e9f, 1e9f)));
 }
+// Truncation, clamped like floor_to_int: in-range values convert as a bare
+// static_cast would, far ones saturate before the conversion.
+int trunc_to_int(float v) { return static_cast<int>(std::clamp(v, -1e9f, 1e9f)); }
 
 // Build the screen triangle. Returns false for backfacing/degenerate
 // triangles (CCW convention, matching the previous signed-area test); the
@@ -573,17 +576,19 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
   const float aspect = static_cast<float>(fb_.width()) / static_cast<float>(fb_.height());
   const Mat4 mvp = camera.projection(aspect) * camera.view() * model;
   const bool has_colors = points.colors.size() == points.positions.size();
-  const int radius = std::max(0, static_cast<int>(points.point_size / 2.0f));
+  // At most 1e9, so s.x ± radius stays within int range: |s.x| <= 1e9.
+  const float half_size = points.point_size / 2.0f;
+  const int radius = half_size >= 1.0f ? trunc_to_int(half_size) : 0;
 
   stats_.points_submitted += points.positions.size();
 
   for (size_t i = 0; i < points.positions.size(); ++i) {
     const util::Vec4 clip = mvp * util::Vec4(points.positions[i], 1.0f);
-    if (clip.w <= 1e-4f || clip.z < -clip.w) continue;
+    if (!(clip.w > 1e-4f) || clip.z < -clip.w) continue;  // also drops a NaN position
     const float inv_w = 1.0f / clip.w;
     ScreenSplat s;
-    s.x = static_cast<int>((clip.x * inv_w * 0.5f + 0.5f) * fb_.width());
-    s.y = static_cast<int>((0.5f - clip.y * inv_w * 0.5f) * fb_.height());
+    s.x = trunc_to_int((clip.x * inv_w * 0.5f + 0.5f) * fb_.width());
+    s.y = trunc_to_int((0.5f - clip.y * inv_w * 0.5f) * fb_.height());
     s.depth = clip.z * inv_w * 0.5f + 0.5f;
     s.radius = radius;
     const Vec3 color = has_colors ? points.colors[i] : points.base_color;

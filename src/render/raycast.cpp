@@ -472,6 +472,166 @@ WaveFn pick_wave(int& group) {
   }
 }
 
+// Per-call constants of the ray setup: everything a pixel's ray depends on
+// besides its column and row.
+struct RaySetup {
+  Mat4 inv_view;
+  Mat4 inv_model;
+  Vec3 origin;  // the eye in grid space
+  scene::Aabb box;
+  float fb_w = 0, fb_h = 0;  // frame size as float
+  float tan_half_fov = 0, aspect = 0;
+};
+
+constexpr int kMaxLanes = 8;
+
+// Rays of a block of consecutive pixels in one row, one lane per pixel.
+// Lanes whose bit in `hit` is clear miss the box (or have no direction);
+// their other fields are unspecified.
+struct RayLanes {
+  float dx[kMaxLanes], dy[kMaxLanes], dz[kMaxLanes];  // grid-space unit direction
+  float len[kMaxLanes];  // grid-space length of the unit world direction
+  float t0[kMaxLanes], t1[kMaxLanes];
+  uint32_t hit = 0;
+};
+
+// The canonical per-pixel ray setup: pixel centre → camera-space ray →
+// world → grid space, normalized, then clipped to the grid box. The lane
+// kernels below perform this exact float sequence lane-wise.
+inline void setup_ray(const RaySetup& s, int px, int py, RayLanes& out, int lane) {
+  const float ndc_x = (2.0f * (static_cast<float>(px) + 0.5f) / s.fb_w - 1.0f);
+  const float ndc_y = (1.0f - 2.0f * (static_cast<float>(py) + 0.5f) / s.fb_h);
+  const Vec3 dir_cam{ndc_x * s.tan_half_fov * s.aspect, ndc_y * s.tan_half_fov, -1.0f};
+  const Vec3 dir_world = util::normalize(s.inv_view.transform_dir(dir_cam));
+  const Vec3 dir = s.inv_model.transform_dir(dir_world);
+  const float dir_len = dir.length();
+  if (dir_len < 1e-12f) return;
+  const Vec3 ndir = dir / dir_len;
+  float t0, t1;
+  if (!intersect_aabb(s.origin, ndir, s.box, t0, t1)) return;
+  out.dx[lane] = ndir.x;
+  out.dy[lane] = ndir.y;
+  out.dz[lane] = ndir.z;
+  out.len[lane] = dir_len;
+  out.t0[lane] = t0;
+  out.t1[lane] = t1;
+  out.hit |= 1u << lane;
+}
+
+// Row constants shared by the lane kernels, each computed with the scalar
+// twin's own float ops: the camera-space y, and the products of
+// transform_dir that do not depend on the column (its y, z and w = 0
+// terms; the w terms are ±0 or NaN and change the sign of a zero sum).
+struct RowConsts {
+  float view_y[3], view_z[3], view_w[3], model_w[3];
+};
+
+inline RowConsts row_consts(const RaySetup& s, int py) {
+  const float ndc_y = (1.0f - 2.0f * (static_cast<float>(py) + 0.5f) / s.fb_h);
+  const float cam_y = ndc_y * s.tan_half_fov;
+  RowConsts r;
+  for (int i = 0; i < 3; ++i) {
+    r.view_y[i] = s.inv_view.m[4 + i] * cam_y;
+    r.view_z[i] = s.inv_view.m[8 + i] * -1.0f;
+    r.view_w[i] = s.inv_view.m[12 + i] * 0.0f;
+    r.model_w[i] = s.inv_model.m[12 + i] * 0.0f;
+  }
+  return r;
+}
+
+#if defined(__x86_64__)
+
+// setup_ray for pixels px..px+7 of the row `rc` was built for. In the
+// slab test, std::max(t0, a) is (t0 < a) ? a : t0, which is max_ps(a, t0);
+// std::min(t1, b) is min_ps(b, t1); the swap is min_ps(b, a) and
+// max_ps(a, b). Division and square root are correctly rounded in both
+// forms.
+__attribute__((target("avx2"))) void setup_avx2(const RaySetup& s, const RowConsts& rc, int px,
+                                                RayLanes& out) {
+  const float* v = s.inv_view.m.data();
+  const float* m = s.inv_model.m.data();
+  const __m256 col = _mm256_cvtepi32_ps(
+      _mm256_add_epi32(_mm256_set1_epi32(px), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+  const __m256 ndc_x = _mm256_sub_ps(
+      _mm256_div_ps(_mm256_mul_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(col, _mm256_set1_ps(0.5f))),
+                    _mm256_set1_ps(s.fb_w)),
+      _mm256_set1_ps(1.0f));
+  const __m256 cam_x =
+      _mm256_mul_ps(_mm256_mul_ps(ndc_x, _mm256_set1_ps(s.tan_half_fov)), _mm256_set1_ps(s.aspect));
+  __m256 w[3];
+  for (int i = 0; i < 3; ++i)
+    w[i] = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(v[i]), cam_x),
+                                                     _mm256_set1_ps(rc.view_y[i])),
+                                       _mm256_set1_ps(rc.view_z[i])),
+                         _mm256_set1_ps(rc.view_w[i]));
+  // normalize: a length at or below FLT_MIN gives the zero vector.
+  const __m256 wlen = _mm256_sqrt_ps(_mm256_add_ps(
+      _mm256_add_ps(_mm256_mul_ps(w[0], w[0]), _mm256_mul_ps(w[1], w[1])),
+      _mm256_mul_ps(w[2], w[2])));
+  const __m256 degenerate =
+      _mm256_cmp_ps(wlen, _mm256_set1_ps(std::numeric_limits<float>::min()), _CMP_LE_OQ);
+  __m256 n[3];
+  for (int i = 0; i < 3; ++i) n[i] = _mm256_andnot_ps(degenerate, _mm256_div_ps(w[i], wlen));
+  __m256 d[3];
+  for (int i = 0; i < 3; ++i)
+    d[i] = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(m[i]), n[0]),
+                                    _mm256_mul_ps(_mm256_set1_ps(m[4 + i]), n[1])),
+                      _mm256_mul_ps(_mm256_set1_ps(m[8 + i]), n[2])),
+        _mm256_set1_ps(rc.model_w[i]));
+  const __m256 len = _mm256_sqrt_ps(_mm256_add_ps(
+      _mm256_add_ps(_mm256_mul_ps(d[0], d[0]), _mm256_mul_ps(d[1], d[1])),
+      _mm256_mul_ps(d[2], d[2])));
+  __m256 ok = _mm256_cmp_ps(len, _mm256_set1_ps(1e-12f), _CMP_NLT_UQ);
+  for (int i = 0; i < 3; ++i) d[i] = _mm256_div_ps(d[i], len);
+
+  const float o[3] = {s.origin.x, s.origin.y, s.origin.z};
+  const float lo[3] = {s.box.lo.x, s.box.lo.y, s.box.lo.z};
+  const float hi[3] = {s.box.hi.x, s.box.hi.y, s.box.hi.z};
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  __m256 t0 = _mm256_setzero_ps();
+  __m256 t1 = _mm256_set1_ps(std::numeric_limits<float>::max());
+  for (int i = 0; i < 3; ++i) {
+    const __m256 parallel =
+        _mm256_cmp_ps(_mm256_and_ps(d[i], abs_mask), _mm256_set1_ps(1e-12f), _CMP_LT_OQ);
+    if (o[i] < lo[i] || o[i] > hi[i]) ok = _mm256_andnot_ps(parallel, ok);
+    const __m256 inv_d = _mm256_div_ps(_mm256_set1_ps(1.0f), d[i]);
+    const __m256 a = _mm256_mul_ps(_mm256_set1_ps(lo[i] - o[i]), inv_d);
+    const __m256 b = _mm256_mul_ps(_mm256_set1_ps(hi[i] - o[i]), inv_d);
+    const __m256 near = _mm256_max_ps(_mm256_min_ps(b, a), t0);
+    const __m256 far = _mm256_min_ps(_mm256_max_ps(a, b), t1);
+    t0 = _mm256_blendv_ps(near, t0, parallel);
+    t1 = _mm256_blendv_ps(far, t1, parallel);
+  }
+  ok = _mm256_and_ps(ok, _mm256_cmp_ps(t0, t1, _CMP_LE_OQ));
+  _mm256_storeu_ps(out.dx, d[0]);
+  _mm256_storeu_ps(out.dy, d[1]);
+  _mm256_storeu_ps(out.dz, d[2]);
+  _mm256_storeu_ps(out.len, len);
+  _mm256_storeu_ps(out.t0, t0);
+  _mm256_storeu_ps(out.t1, t1);
+  out.hit = static_cast<uint32_t>(_mm256_movemask_ps(ok));
+}
+
+#endif
+
+using SetupFn = void (*)(const RaySetup&, const RowConsts&, int, RayLanes&);
+
+// Null (with lanes == 1) = no lane kernel at this level: every pixel goes
+// through setup_ray.
+SetupFn pick_setup(int& lanes) {
+  switch (util::active_simd_level()) {
+#if defined(__x86_64__)
+    case util::SimdLevel::Avx2:
+      lanes = 8;
+      return setup_avx2;
+#endif
+    default:
+      lanes = 1;
+      return nullptr;
+  }
+}
+
 struct CellPos {
   uint32_t x = 0, y = 0, z = 0;
   bool operator==(const CellPos& o) const { return x == o.x && y == o.y && z == o.z; }
@@ -775,6 +935,18 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
   int group = 1;
   const WaveFn wave = pick_wave(group);
 
+  RaySetup setup;
+  setup.inv_view = inv_view;
+  setup.inv_model = inv_model;
+  setup.origin = origin;
+  setup.box = box;
+  setup.fb_w = static_cast<float>(fb.width());
+  setup.fb_h = static_cast<float>(fb.height());
+  setup.tan_half_fov = tan_half_fov;
+  setup.aspect = aspect;
+  int lanes = 1;
+  const SetupFn setup_lanes = pick_setup(lanes);
+
   const auto cast_row = [&](int py, RenderStats& rst) {
     SampleWave w;
     // A running sum turns this row's coverage deltas into per-pixel
@@ -784,20 +956,29 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
       cover = footprint.data() + static_cast<size_t>(py - region.y) * footprint_stride;
       for (int i = 1; i < region.width; ++i) cover[i] += cover[i - 1];
     }
-    for (int px = region.x; px < region.x + region.width; ++px) {
-      // NDC pixel center → camera-space ray.
-      const float ndc_x = (2.0f * (static_cast<float>(px) + 0.5f) / fb.width() - 1.0f);
-      const float ndc_y = (1.0f - 2.0f * (static_cast<float>(py) + 0.5f) / fb.height());
-      const Vec3 dir_cam{ndc_x * tan_half_fov * aspect, ndc_y * tan_half_fov, -1.0f};
-      const Vec3 dir_world = util::normalize(inv_view.transform_dir(dir_cam));
-      const Vec3 dir = inv_model.transform_dir(dir_world);
-      const float dir_len = dir.length();
-      if (dir_len < 1e-12f) continue;
-      const Vec3 ndir = dir / dir_len;
-
-      float t0, t1;
-      if (!intersect_aabb(origin, ndir, box, t0, t1)) continue;
-      t0 = std::max(t0, camera.znear * dir_len);
+    RowConsts rc{};
+    if (setup_lanes != nullptr) rc = row_consts(setup, py);
+    RayLanes rays;
+    const int row_end = region.x + region.width;
+    for (int px = region.x; px < row_end; ++px) {
+      // Each block of `lanes` pixels sets up its rays at its first pixel:
+      // full blocks in SIMD lanes, the row tail (and a level without a
+      // lane kernel) through the scalar twin. lanes is a power of two.
+      const int lane = (px - region.x) & (lanes - 1);
+      if (lane == 0) {
+        const int in_block = std::min(lanes, row_end - px);
+        if (in_block == lanes && setup_lanes != nullptr) {
+          setup_lanes(setup, rc, px, rays);
+        } else {
+          rays.hit = 0;
+          for (int i = 0; i < in_block; ++i) setup_ray(setup, px + i, py, rays, i);
+        }
+      }
+      if ((rays.hit >> lane & 1u) == 0) continue;
+      const Vec3 ndir{rays.dx[lane], rays.dy[lane], rays.dz[lane]};
+      const float dir_len = rays.len[lane];
+      const float t0 = std::max(rays.t0[lane], camera.znear * dir_len);
+      const float t1 = rays.t1[lane];
 
       // Anchored sample count: the largest n with t0 + n*step <= t1,
       // FP-corrected in both directions.

@@ -21,6 +21,16 @@
 // performing the identical float op sequence, so output is byte-identical
 // across {scalar, SIMD} × {serial, pooled} × {brute, skipped and culled} —
 // see DESIGN.md "Fast volume path" and tests/test_raycast.
+//
+// Ray setup — pixel centre to grid-space unit ray, then the box slab
+// test — runs for 8 consecutive pixels of a row at once under AVX2; the
+// row tail and other levels use the scalar setup. Each lane performs the
+// scalar op sequence exactly: the same products and left-to-right sums of
+// transform_dir (its w = 0 terms included), normalize's FLT_MIN case, the
+// slab test's parallel branch, and max_ps(a, t0) / min_ps(b, t1), which
+// resolve ties and NaN like std::max(t0, a) / std::min(t1, b). Division
+// and square root are correctly rounded in both forms, so every ray —
+// and with it every pixel and counter — is bit-equal to the scalar one.
 #pragma once
 
 #include "render/framebuffer.hpp"

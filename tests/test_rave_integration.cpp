@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <map>
 
 #include "core/data_service.hpp"
 #include "core/fabric.hpp"
@@ -12,6 +13,7 @@
 #include "core/thin_client.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/primitives.hpp"
+#include "obs/trace.hpp"
 #include "render/raycast.hpp"
 #include "render/render_list.hpp"
 #include "scene/serialize.hpp"
@@ -533,6 +535,75 @@ TEST_F(RaveFixture, AssistantResultIsCompositedOnlyAtItsAssignedSlot) {
   answer_then_render(slots[1], reference.value().extract(slots[1]));
   EXPECT_EQ(main.stats().locally_covered_tiles, 4u);
   EXPECT_EQ(main.stats().remote_tiles_used, 1u);
+}
+
+TEST_F(RaveFixture, SpanHostLabelsNameTheHostDoingTheWork) {
+  // A traced stream frame with one tile assistant and one subscriber: the
+  // publisher's own raster work, the assistant's tile and the
+  // subscriber's decode and assemble each carry the name of the host
+  // that did them, not of whichever service was pumped last.
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({0.9f, 0.6f, 0.1f}, 20));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& main = add_render("main");
+  RenderService& helper = add_render("helper");
+  ASSERT_TRUE(main.connect_session(data_ap_, "demo").ok());
+  ASSERT_TRUE(helper.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  ASSERT_TRUE(main.enable_tile_assist("demo", {helper.peer_access_point()}).ok());
+  sim::MachineProfile profile = sim::zaurus_pda();
+  profile.name = "pda-1";
+  ThinClient client(clock_, fabric_, profile);
+  ASSERT_TRUE(client.connect(main.client_access_point(), "demo").ok());
+  ASSERT_TRUE(client.subscribe_stream(compress::QualityClass::Workstation).ok());
+  pump_all();
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.set_clock(&clock_);
+  tracer.set_enabled(true);
+  const std::string outer_host = obs::Tracer::current_host();
+  Camera cam;
+  cam.eye = {0, 0, 3};
+  // Two frames: the first has no assistant result yet, the second pastes it.
+  for (int frame = 0; frame < 2; ++frame) {
+    obs::ScopedSpan root = obs::ScopedSpan::root("cycle", "test");
+    ASSERT_TRUE(main.publish_stream_frame("demo", cam, 64, 64).ok());
+    auto got = client.next_stream_frame(5.0, pump_fn());
+    ASSERT_TRUE(got.ok()) << got.error();
+    pump_all();
+  }
+  tracer.set_enabled(false);
+  tracer.set_clock(nullptr);
+  EXPECT_EQ(obs::Tracer::current_host(), outer_host);  // every scope restored it
+  EXPECT_GT(main.stats().remote_tiles_used, 0u);
+
+  const std::vector<obs::SpanRecord> spans = tracer.spans();
+  tracer.reset();
+  std::map<uint64_t, const obs::SpanRecord*> by_id;
+  for (const obs::SpanRecord& s : spans) by_id[s.span_id] = &s;
+  size_t publisher_raster = 0, assistant_raster = 0, decode = 0, assemble = 0, roots = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name == "shade" || s.name == "raster") {
+      // An assistant rasters inside its peer_tile span; everything else
+      // is the publisher's own pass.
+      const auto parent = by_id.find(s.parent_span_id);
+      const bool peer = parent != by_id.end() && parent->second->name == "peer_tile";
+      EXPECT_EQ(s.host, peer ? "helper" : "main") << s.name;
+      if (s.name == "raster") ++(peer ? assistant_raster : publisher_raster);
+    } else if (s.name == "decode" || s.name == "assemble") {
+      EXPECT_EQ(s.host, "pda-1") << s.name;
+      ++(s.name == "decode" ? decode : assemble);
+    } else if (s.name == "publish_frame") {
+      EXPECT_EQ(s.host, "main");
+      ++roots;
+    }
+  }
+  EXPECT_EQ(publisher_raster, 2u);  // one local pass per frame
+  EXPECT_GT(assistant_raster, 0u);
+  EXPECT_GT(decode, 0u);
+  EXPECT_EQ(assemble, 2u);
+  EXPECT_EQ(roots, 2u);
 }
 
 TEST_F(RaveFixture, StalledAssistantProducesStaleTiles) {

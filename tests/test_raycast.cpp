@@ -527,6 +527,123 @@ TEST(RaycastFootprint, MatchesBruteAtEveryThreadCountAndSimdLevel) {
   }
 }
 
+// --- lane ray setup ----------------------------------------------------------
+//
+// Full blocks of consecutive pixels in a row set up their rays in SIMD
+// lanes (8 under AVX2); the row tail and the other levels go through the
+// scalar twin. Every case renders at each supported level, brute and skipped, and
+// requires the scalar level's pixels, depth, rays_cast, rays_culled and
+// shaded samples. Returns the scalar level's skip-path stats.
+RenderStats expect_levels_match_scalar(const VoxelGridData& grid, const CullView& view,
+                                       const std::string& what, const render::Tile& region = {}) {
+  LevelGuard guard;
+  RenderStats skip_stats;
+  for (const bool skip : {false, true}) {
+    RaycastOptions opts;
+    opts.empty_skip = skip;
+    opts.region = region;
+    util::set_simd_level(SimdLevel::Scalar);
+    FrameBuffer reference = blank(view);
+    const RenderStats ref_stats =
+        render::raycast_volume(reference, grid, view.model, view.camera, opts);
+    if (skip) skip_stats = ref_stats;
+    for (const SimdLevel level : supported_levels()) {
+      util::set_simd_level(level);
+      FrameBuffer fb = blank(view);
+      const RenderStats st = render::raycast_volume(fb, grid, view.model, view.camera, opts);
+      const std::string tag = what + " level " + util::simd_level_name(level) +
+                              (skip ? " skip" : " brute");
+      expect_identical(reference, fb, tag);
+      EXPECT_EQ(st.rays_cast, ref_stats.rays_cast) << tag;
+      EXPECT_EQ(st.rays_culled, ref_stats.rays_culled) << tag;
+      EXPECT_EQ(st.volume_samples, ref_stats.volume_samples) << tag;
+    }
+  }
+  return skip_stats;
+}
+
+TEST(RaycastLanes, PartialBlocksMatchScalar) {
+  // Widths below, between and just past the 4- and 8-lane block sizes, at
+  // an odd column, so every region ends in a partial block.
+  const std::vector<std::pair<std::string, VoxelGridData>> grids = {
+      {"dense-ball", ball_grid(24)}, {"body", body_grid()}};
+  CullView view;
+  view.camera.eye = {0.4f, 0.3f, 3.0f};
+  for (const auto& [name, grid] : grids) {
+    for (const int width : {1, 7, 9, 13}) {
+      const render::Tile region{57, 41, width, 9};
+      const RenderStats st = expect_levels_match_scalar(
+          grid, view, name + " width " + std::to_string(width), region);
+      EXPECT_GT(st.rays_cast, 0u) << name << " width " << width;
+    }
+    // A whole-height region from an odd column to the frame's edge.
+    expect_levels_match_scalar(grid, view, name + " from column 3",
+                               {3, 0, view.width - 3, view.height});
+  }
+}
+
+TEST(RaycastLanes, AxisAlignedRaysMatchScalar) {
+  // An odd frame size puts the centre column's and centre row's pixel
+  // centres at NDC exactly 0, so an axis-aligned view gives those rays a
+  // direction component of exactly 0: the slab test's parallel branch.
+  // The eye sits inside that slab, on its face, or outside it (where the
+  // parallel rays miss the box).
+  const VoxelGridData grid = ball_grid(24);
+  const scene::Aabb box = grid.bounds();
+  const std::vector<std::pair<std::string, Vec3>> eyes = {
+      {"inside", {0.3f, -0.2f, 4.0f}},
+      {"on the face", {box.lo.x, box.hi.y, 4.0f}},
+      {"outside", {box.hi.x + 0.3f, box.lo.y - 0.2f, 4.0f}},
+      {"inside x, outside y", {-0.1f, box.hi.y + 0.5f, 4.0f}}};
+  for (const auto& [name, eye] : eyes) {
+    CullView view;
+    view.width = 101;
+    view.height = 75;
+    view.camera.eye = eye;
+    view.camera.target = {eye.x, eye.y, 0.0f};
+    view.camera.fov_y_deg = 70.0f;
+    const RenderStats st = expect_levels_match_scalar(grid, view, "eye " + name);
+    EXPECT_GT(st.rays_cast, 0u) << name;
+  }
+  // Looking down the y axis: the zero components move to x and z.
+  CullView down;
+  down.width = 75;
+  down.height = 101;
+  down.camera.eye = {0.2f, 4.0f, -0.3f};
+  down.camera.target = {0.2f, 0.0f, -0.3f};
+  down.camera.up = {0, 0, -1};
+  EXPECT_GT(expect_levels_match_scalar(grid, down, "down the y axis").rays_cast, 0u);
+}
+
+TEST(RaycastLanes, EyeInsideAndNearPlaneClipMatchScalar) {
+  const VoxelGridData grid = ball_grid(24);
+  CullView inside;
+  inside.camera.eye = {0.1f, 0.2f, 0.3f};
+  inside.camera.target = {-0.4f, 0.1f, -0.5f};
+  inside.camera.znear = 0.01f;
+  EXPECT_GT(expect_levels_match_scalar(grid, inside, "eye inside the grid").rays_cast, 0u);
+
+  // A near plane past the box's near face clips some intervals away
+  // (fn < 0), and one past its far corner clips them all. A non-uniform
+  // model scale makes the grid-space direction length differ from 1.
+  for (const bool scaled : {false, true}) {
+    CullView view;
+    view.camera.eye = {0.1f, -0.1f, 1.8f};
+    view.camera.target = {0.0f, 0.0f, 0.0f};
+    if (scaled) view.model = util::Mat4::scale({1.3f, 0.6f, 0.9f});
+    const std::string tag = scaled ? "scaled " : "";
+    view.camera.znear = 0.05f;
+    const uint64_t all = expect_levels_match_scalar(grid, view, tag + "znear 0.05").rays_cast;
+    view.camera.znear = 2.2f;
+    const uint64_t some = expect_levels_match_scalar(grid, view, tag + "znear 2.2").rays_cast;
+    view.camera.znear = 6.0f;
+    const uint64_t none = expect_levels_match_scalar(grid, view, tag + "znear 6").rays_cast;
+    EXPECT_GT(some, 0u) << tag;
+    EXPECT_LT(some, all) << tag;
+    EXPECT_EQ(none, 0u) << tag;
+  }
+}
+
 TEST(RaycastFootprint, FineCellsBoundTheBricks) {
   const VoxelGridData grid = random_grid(21, 5);
   const auto cells = grid.macro_cells();

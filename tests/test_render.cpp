@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <vector>
 
 #include "mesh/primitives.hpp"
 #include "render/compositor.hpp"
@@ -259,6 +261,38 @@ TEST(Rasterizer, PointSplatsRender) {
   const FrameBuffer fb = render_tree(tree, front_camera(), 64, 64);
   EXPECT_GT(fb.pixel(32, 32)[1], 128);
   EXPECT_LT(fb.depth_at(32, 32), 1.0f);
+}
+
+TEST(Rasterizer, PointSplatsFarOffScreenOrHugeStayInIntRange) {
+  // Points just past the w = 1e-4 cutoff and far off-axis project billions
+  // of pixels off screen, and a NaN position projects nowhere: none of
+  // them draws, and the frame is left as it was. Under the sanitizer lane
+  // (float-cast-overflow) an unclamped conversion fails this test.
+  Camera cam;
+  cam.eye = {0, 0, 0};
+  cam.target = {0, 0, -1};
+  cam.znear = 1e-6f;
+  scene::PointCloudData far;
+  far.positions = {{1e5f, 0, -1.5e-4f},
+                   {-1e5f, 3e4f, -1.5e-4f},
+                   {0, -1e5f, -1.5e-4f},
+                   {std::numeric_limits<float>::quiet_NaN(), 0, -1}};
+  far.point_size = 5.0f;
+  Rasterizer raster(64, 48);
+  raster.clear();
+  const std::vector<uint8_t> color = raster.framebuffer().color();
+  const std::vector<float> depth = raster.framebuffer().depth();
+  raster.draw_points(far, util::Mat4::identity(), cam);
+  EXPECT_EQ(raster.framebuffer().color(), color);
+  EXPECT_EQ(raster.framebuffer().depth(), depth);
+  EXPECT_EQ(raster.stats().pixels_shaded, 0u);
+
+  // A splat radius far beyond int range is bounded: it covers the frame.
+  scene::PointCloudData huge;
+  huge.positions = {{0, 0, -2}};
+  huge.point_size = 1e12f;
+  raster.draw_points(huge, util::Mat4::identity(), cam);
+  EXPECT_EQ(raster.stats().pixels_shaded, 64u * 48u);
 }
 
 TEST(Compositor, DepthCompositeTakesNearest) {
